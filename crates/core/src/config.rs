@@ -3,7 +3,7 @@
 //! as evaluated.
 
 use leva_discovery::DiscoveryConfig;
-use leva_embedding::{MfConfig, Precision, SgnsConfig, WalkConfig};
+use leva_embedding::{MfConfig, SgnsConfig, WalkConfig};
 use leva_graph::GraphConfig;
 use leva_textify::TextifyConfig;
 
@@ -55,11 +55,6 @@ pub struct LevaConfig {
     pub sgns: SgnsConfig,
     /// Featurization strategy (Table 2 default: Row + Value).
     pub featurization: Featurization,
-    /// Numeric storage precision for embedding data (DESIGN.md §6.14).
-    /// `F64` (the default) is exact; `F32`/`Int8` trade bounded per-element
-    /// error for 2×/8× smaller embedding storage in SGNS parameter storage
-    /// and the featurizer cache build.
-    pub precision: Precision,
     /// Master seed (propagated to every stochastic stage).
     pub seed: u64,
     /// Worker threads for the deterministic pipeline stages — textification,
@@ -92,7 +87,6 @@ impl Default for LevaConfig {
                 ..SgnsConfig::default()
             },
             featurization: Featurization::RowPlusValue,
-            precision: Precision::F64,
             seed: 0x1e7a,
             threads: 0,
         }
@@ -134,14 +128,6 @@ impl LevaConfig {
         self.dim = dim;
         self.mf.dim = dim;
         self.sgns.dim = dim;
-        self
-    }
-
-    /// Returns a copy with the storage precision applied everywhere it
-    /// matters (SGNS parameter storage follows the pipeline precision).
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
-        self.sgns.precision = precision;
         self
     }
 

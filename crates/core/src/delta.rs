@@ -14,7 +14,8 @@
 //! 4. **Retrofit** embeddings for affected nodes only
 //!    ([`leva_embedding::retrofit_embeddings`], RETRO-style: stay near the
 //!    old vector, move toward patched neighbors).
-//! 5. **Invalidate/patch** exactly the touched [`Featurizer`] cache slots.
+//! 5. **Invalidate/patch** exactly the touched
+//!    [`Featurizer`](crate::Featurizer) cache slots.
 //! 6. **Record** the batch as a [`DeltaRecord`] so the artifact persists a
 //!    `base + deltas` chain (`DELT` chunks, replayed on load).
 //!
@@ -32,9 +33,7 @@ use leva_embedding::{retrofit_embeddings, RetrofitConfig, RetrofitReport};
 use leva_interner::codec::{ByteReader, ByteWriter, DecodeError};
 use leva_relational::{CellIssue, IngestMode, IngestOptions, IngestReport, IssueReason, Value};
 
-use crate::featurizer::Featurizer;
 use crate::pipeline::{LevaError, LevaModel};
-use leva_embedding::Precision;
 
 /// One persisted delta batch: ingest-normalized rows appended to a table.
 /// Replaying the record through the append machinery is deterministic, so
@@ -155,7 +154,7 @@ pub struct AppendReport {
     /// What the embedding retrofit did.
     pub retrofit: RetrofitReport,
     /// `Featurizer` cache slots recomputed (0 when the cache was not built
-    /// yet, or was dropped for a reduced-precision rebuild).
+    /// yet).
     pub featurizer_slots_patched: usize,
     /// Ingest-normalization audit of the appended rows (also pushed onto
     /// [`LevaModel::ingest`]).
@@ -312,23 +311,10 @@ impl LevaModel {
             ));
         };
 
-        // Mutation requires heap-backed state; settle the deferred CRCs of
-        // mapped artifacts first (a corrupt mapped payload must fail typed,
-        // not be patched on top of).
-        if !self.graph.ensure_heap() {
-            return Err(LevaError::Artifact(
-                crate::artifact::ArtifactError::ChecksumMismatch {
-                    chunk: "GRPH".to_owned(),
-                },
-            ));
-        }
-        if !self.store.materialize() {
-            return Err(LevaError::Artifact(
-                crate::artifact::ArtifactError::ChecksumMismatch {
-                    chunk: "STOR".to_owned(),
-                },
-            ));
-        }
+        // Settle the deferred checks of a mapped artifact first: a corrupt
+        // payload must fail typed, not be patched on top of. The writes
+        // below copy mapped buffers to the heap as they touch them.
+        self.verify_deferred()?;
 
         // Snapshot the pre-delta artifact once: it becomes the persisted
         // `base` of the chain. (Replay sets this before applying deltas.)
@@ -396,31 +382,18 @@ impl LevaModel {
         // 4. Featurizer staleness: the cache slots that could differ are
         //    the changed values, plus every value adjacent to a row whose
         //    edges or neighbor embeddings changed (two-hop reads those
-        //    rows' sums). Patch them in place when a full-precision cache
-        //    exists; reduced-precision caches are dropped and lazily
-        //    rebuilt (their build reads a quantized snapshot the patch
-        //    path does not model).
-        if let Some(mut featurizer) = take_featurizer(self) {
-            if self.config.precision == Precision::F64 {
-                let changed = changed_value_slots(self, &patch.new_rows, &affected);
-                featurizer.patch(&self.graph, &self.store, &changed);
-                report.featurizer_slots_patched = changed.len();
-                let _ = self.featurizer.set(featurizer);
-            }
-            // else: dropped — rebuilt on the next featurize call.
+        //    rows' sums). Patch them in place when a cache exists.
+        if let Some(mut featurizer) = self.featurizer.take() {
+            let changed = changed_value_slots(self, &patch.new_rows, &affected);
+            featurizer.patch(&self.graph, &self.store, &changed);
+            report.featurizer_slots_patched = changed.len();
+            let _ = self.featurizer.set(featurizer);
         }
 
         // 5. Chain bookkeeping.
         self.deltas.push(record.clone());
         Ok(report)
     }
-}
-
-/// Takes the lazily-built featurizer out of its `OnceLock`, leaving the
-/// lock empty (the staleness-audit contract: a mutated model never serves
-/// from a cache built against its old state).
-fn take_featurizer(model: &mut LevaModel) -> Option<Featurizer> {
-    model.featurizer.take()
 }
 
 /// Value nodes whose featurizer cache slots could have changed: every

@@ -98,25 +98,13 @@ impl LevaModel {
     ///
     /// For a model served from a mapping ([`LevaModel::load_mmap`]) this is
     /// also where the deferred `STOR` and `GRPH` CRCs (and the adjacency
-    /// symmetry invariant) are settled: the first call hashes each mapped
-    /// payload once, and a corrupt store or graph fails every request with
+    /// symmetry invariant) are settled ([`LevaModel::verify_deferred`]):
+    /// the first call hashes each mapped payload once, and a corrupt store
+    /// or graph fails every request with
     /// [`ArtifactError::ChecksumMismatch`](crate::ArtifactError) instead of
     /// silently featurizing from flipped bits.
     pub fn featurize(&self, request: &FeaturizeRequest) -> Result<Matrix, LevaError> {
-        if !self.store.verify_mapped() {
-            return Err(LevaError::Artifact(
-                crate::ArtifactError::ChecksumMismatch {
-                    chunk: "STOR".to_owned(),
-                },
-            ));
-        }
-        if !self.graph.verify_mapped() {
-            return Err(LevaError::Artifact(
-                crate::ArtifactError::ChecksumMismatch {
-                    chunk: "GRPH".to_owned(),
-                },
-            ));
-        }
+        self.verify_deferred()?;
         match &request.source {
             RowSource::BaseAll => {
                 let rows: Vec<usize> = (0..self.base_row_count()).collect();

@@ -21,7 +21,6 @@ mod corpus;
 pub mod json;
 mod mf;
 mod node2vec;
-mod quant;
 mod retrofit;
 mod serialize;
 mod sgns;
@@ -31,13 +30,10 @@ mod walks;
 pub use corpus::Corpus;
 pub use mf::{build_mf_embedding, proximity_matrix, MfConfig};
 pub use node2vec::{node2vec_walks, Node2VecConfig};
-pub use quant::{Precision, QuantizedStore};
 pub use retrofit::{retrofit_embeddings, RetrofitConfig, RetrofitReport};
 pub use serialize::{decode_corpus, encode_corpus, CorpusDecodeError};
 pub use sgns::{train_sgns, SgnsConfig, SgnsModel};
-pub use store::{
-    DenseView, EmbeddingBacking, EmbeddingStore, MappedStore, StoreFileError, UnknownTokenError,
-};
+pub use store::{DenseView, EmbeddingStore, StoreFileError, UnknownTokenError};
 pub use walks::{build_alias_tables, estimated_alias_bytes, generate_walks, WalkConfig};
 
 pub use leva_interner::{TokenId, TokenInterner};

@@ -86,7 +86,6 @@ pub fn build_mf_embedding(graph: &LevaGraph, cfg: &MfConfig) -> EmbeddingStore {
         },
     );
     // ε = U Σ^{1/2}
-    let k = svd.s.len();
     let mut emb = svd.u;
     for r in 0..n {
         let row = emb.row_mut(r);
@@ -104,15 +103,13 @@ pub fn build_mf_embedding(graph: &LevaGraph, cfg: &MfConfig) -> EmbeddingStore {
             },
         );
     }
+    // Zero-pad rows when the effective rank was clamped below cfg.dim.
+    let mut v = vec![0.0; cfg.dim];
     for node in 0..n as u32 {
-        let mut v = emb.row(node as usize).to_vec();
-        // Pad if the effective rank was clamped below cfg.dim.
-        v.resize(cfg.dim.max(k), 0.0);
-        v.truncate(cfg.dim);
-        if v.len() < cfg.dim {
-            v.resize(cfg.dim, 0.0);
-        }
-        store.insert_id(graph.token(node), v);
+        let row = emb.row(node as usize);
+        let m = row.len().min(cfg.dim);
+        v[..m].copy_from_slice(&row[..m]);
+        store.insert_id(graph.token(node), &v);
     }
     store
 }

@@ -11,7 +11,6 @@
 //! fully deterministic and is what the test-suite exercises.
 
 use crate::corpus::Corpus;
-use crate::quant::Precision;
 use crate::store::EmbeddingStore;
 use leva_graph::AliasTable;
 use rand::rngs::StdRng;
@@ -38,12 +37,6 @@ pub struct SgnsConfig {
     pub seed: u64,
     /// Worker threads (1 = deterministic).
     pub threads: usize,
-    /// Parameter-storage precision (DESIGN.md §6.14 precision ladder):
-    /// `F64` is the exact reference; `F32`/`Int8` store the two parameter
-    /// matrices as f32 (halving training memory) while keeping gradient
-    /// arithmetic in f64. Int8 has no training rung of its own — it is a
-    /// serving-side quantization, so training runs at f32.
-    pub precision: Precision,
 }
 
 impl Default for SgnsConfig {
@@ -57,41 +50,7 @@ impl Default for SgnsConfig {
             min_lr: 1e-4,
             seed: 0x5643,
             threads: 1,
-            precision: Precision::F64,
         }
-    }
-}
-
-/// Parameter-storage scalar: f64 (exact) or f32 (compact). Arithmetic is
-/// f64 either way — the ladder trades storage, not math — and the dot
-/// product routes through the precision-matched SIMD-friendly kernel.
-trait ParamScalar: Copy + Default + Send + Sync + 'static {
-    fn from_f64(x: f64) -> Self;
-    fn to_f64(self) -> f64;
-    fn dot(a: &[Self], b: &[Self]) -> f64;
-}
-
-impl ParamScalar for f64 {
-    fn from_f64(x: f64) -> Self {
-        x
-    }
-    fn to_f64(self) -> f64 {
-        self
-    }
-    fn dot(a: &[Self], b: &[Self]) -> f64 {
-        leva_linalg::dot(a, b)
-    }
-}
-
-impl ParamScalar for f32 {
-    fn from_f64(x: f64) -> Self {
-        x as f32
-    }
-    fn to_f64(self) -> f64 {
-        f64::from(self)
-    }
-    fn dot(a: &[Self], b: &[Self]) -> f64 {
-        leva_linalg::dot_f32(a, b)
     }
 }
 
@@ -115,23 +74,14 @@ impl SgnsModel {
             for (a, b) in vin.iter_mut().zip(&vout) {
                 *a = (*a + *b) * 0.5;
             }
-            store.insert_id(corpus.vocab[id], vin);
+            store.insert_id(corpus.vocab[id], &vin);
         }
         store
     }
 }
 
-/// Trains SGNS over a corpus. `cfg.precision` selects f64 or f32 parameter
-/// storage (see [`SgnsConfig::precision`]); results are deterministic for a
-/// fixed precision at `threads: 1`.
+/// Trains SGNS over a corpus; results are deterministic at `threads: 1`.
 pub fn train_sgns(corpus: &Corpus, cfg: &SgnsConfig) -> SgnsModel {
-    match cfg.precision {
-        Precision::F64 => train_sgns_typed::<f64>(corpus, cfg),
-        Precision::F32 | Precision::Int8 => train_sgns_typed::<f32>(corpus, cfg),
-    }
-}
-
-fn train_sgns_typed<T: ParamScalar>(corpus: &Corpus, cfg: &SgnsConfig) -> SgnsModel {
     let vocab = corpus.vocab_size();
     let dim = cfg.dim;
     let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -142,11 +92,11 @@ fn train_sgns_typed<T: ParamScalar>(corpus: &Corpus, cfg: &SgnsConfig) -> SgnsMo
     let neg_table = AliasTable::new(&weights);
 
     // Init: input uniform in [-0.5/dim, 0.5/dim], output zeros.
-    let mut input = vec![T::default(); vocab * dim];
+    let mut input = vec![0.0; vocab * dim];
     for v in &mut input {
-        *v = T::from_f64((rng.gen::<f64>() - 0.5) / dim as f64);
+        *v = (rng.gen::<f64>() - 0.5) / dim as f64;
     }
-    let output = vec![T::default(); vocab * dim];
+    let output = vec![0.0; vocab * dim];
 
     let total_positions = (corpus.total_tokens() * cfg.epochs).max(1);
     let shared = SharedParams { input, output, dim };
@@ -201,38 +151,35 @@ fn train_sgns_typed<T: ParamScalar>(corpus: &Corpus, cfg: &SgnsConfig) -> SgnsMo
     }
 
     let SharedParams { input, output, dim } = shared;
-    let to_f64_rows = |flat: Vec<T>| -> Vec<Vec<f64>> {
-        flat.chunks(dim)
-            .map(|row| row.iter().map(|v| v.to_f64()).collect())
-            .collect()
-    };
+    let to_rows =
+        |flat: Vec<f64>| -> Vec<Vec<f64>> { flat.chunks(dim).map(<[f64]>::to_vec).collect() };
     SgnsModel {
-        input: to_f64_rows(input),
-        output: to_f64_rows(output),
+        input: to_rows(input),
+        output: to_rows(output),
     }
 }
 
 /// Shared parameter arrays. With `threads > 1` these are mutated through
 /// raw pointers Hogwild-style; the data races are deliberate and benign for
 /// SGD on disjoint-ish rows (see Recht et al., NIPS'11).
-struct SharedParams<T> {
-    input: Vec<T>,
-    output: Vec<T>,
+struct SharedParams {
+    input: Vec<f64>,
+    output: Vec<f64>,
     dim: usize,
 }
 
-unsafe impl<T: ParamScalar> Sync for SharedParams<T> {}
+unsafe impl Sync for SharedParams {}
 
-impl<T: ParamScalar> SharedParams<T> {
+impl SharedParams {
     #[allow(clippy::mut_from_ref)]
-    unsafe fn row_mut(vec: &[T], id: u32, dim: usize) -> &mut [T] {
-        let ptr = vec.as_ptr() as *mut T;
+    unsafe fn row_mut(vec: &[f64], id: u32, dim: usize) -> &mut [f64] {
+        let ptr = vec.as_ptr() as *mut f64;
         std::slice::from_raw_parts_mut(ptr.add(id as usize * dim), dim)
     }
 }
 
-struct Worker<'a, T> {
-    params: &'a SharedParams<T>,
+struct Worker<'a> {
+    params: &'a SharedParams,
     cfg: &'a SgnsConfig,
     neg_table: Option<&'a AliasTable>,
     rng: StdRng,
@@ -240,7 +187,7 @@ struct Worker<'a, T> {
     total_positions: usize,
 }
 
-impl<T: ParamScalar> Worker<'_, T> {
+impl Worker<'_> {
     fn run(&mut self, sequences: &[Vec<u32>]) {
         let dim = self.params.dim;
         let mut processed = self.processed_base;
@@ -293,16 +240,16 @@ impl<T: ParamScalar> Worker<'_, T> {
                 (neg, 0.0)
             };
             let w_out = unsafe { SharedParams::row_mut(&self.params.output, target, dim) };
-            let dot = T::dot(w_in, w_out);
+            let dot = leva_linalg::dot(w_in, w_out);
             let pred = sigmoid(dot);
             let g = (label - pred) * lr;
             for ((ga, &wi), wo) in grad.iter_mut().zip(w_in.iter()).zip(w_out.iter_mut()) {
-                *ga += g * wo.to_f64();
-                *wo = T::from_f64(wo.to_f64() + g * wi.to_f64());
+                *ga += g * *wo;
+                *wo += g * wi;
             }
         }
         for (wi, &ga) in w_in.iter_mut().zip(grad.iter()) {
-            *wi = T::from_f64(wi.to_f64() + ga);
+            *wi += ga;
         }
     }
 }
@@ -509,40 +456,6 @@ mod tests {
             let mid = worker.current_lr(total_positions / 2);
             assert!(mid > cfg.min_lr && mid < cfg.initial_lr, "tokens={tokens}");
         }
-    }
-
-    #[test]
-    fn f32_storage_training_learns_and_tracks_f64() {
-        let corpus = clustered_corpus();
-        let base = SgnsConfig {
-            dim: 16,
-            epochs: 8,
-            window: 2,
-            ..Default::default()
-        };
-        let f32_cfg = SgnsConfig {
-            precision: Precision::F32,
-            ..base
-        };
-        let model = train_sgns(&corpus, &f32_cfg);
-        let sim_ab = cosine_similarity(&model.input[0], &model.input[1]);
-        let sim_ax = cosine_similarity(&model.input[0], &model.input[2]);
-        assert!(
-            sim_ab > sim_ax + 0.2,
-            "f32 storage must still learn: {sim_ab} vs {sim_ax}"
-        );
-        // Deterministic at threads: 1 like the f64 path.
-        let again = train_sgns(&corpus, &f32_cfg);
-        assert_eq!(model.input, again.input);
-        // Int8 requests train at the f32 rung (identical parameters).
-        let int8 = train_sgns(
-            &corpus,
-            &SgnsConfig {
-                precision: Precision::Int8,
-                ..base
-            },
-        );
-        assert_eq!(model.input, int8.input);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! where keys are string tokens ... and values are floating-point embedding
 //! vectors" (§6.5.2).
 //!
-//! Internally the store is dense: vectors live in a `Vec` indexed by the
-//! interned [`TokenId`], and token text stays in the shared symbol table.
+//! Internally the store is dense: a slot table indexed by the interned
+//! [`TokenId`] points into one flat row-major matrix, and token text stays
+//! in the shared symbol table.
 //! The pipeline bulk-builds through [`EmbeddingStore::insert_id`] /
 //! [`EmbeddingStore::get_id`] with zero hashing; string-keyed access
 //! ([`EmbeddingStore::insert`], [`EmbeddingStore::get`]) remains for the
@@ -12,9 +13,8 @@
 
 use crate::json;
 use leva_interner::codec::{crc32, ByteReader, ByteWriter, DecodeError};
-use leva_interner::{MmapFile, TokenId, TokenInterner};
+use leva_interner::{Buf, LazyCheck, TokenId, TokenInterner};
 use leva_linalg::{Matrix, Pca};
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 /// Magic bytes of the standalone binary store file format.
@@ -22,91 +22,30 @@ const STORE_MAGIC: &[u8; 4] = b"LVST";
 /// Version of the standalone binary store file format.
 const STORE_VERSION: u32 = 1;
 
+/// Slot value of a token without a vector.
+const NO_ROW: u32 = u32::MAX;
+
 /// A token → vector map with a fixed dimensionality, stored densely over
-/// the interned `TokenId` space.
+/// the interned `TokenId` space: a slot table from token id to row, and
+/// one flat row-major `len × dim` matrix.
+///
+/// The matrix is a [`Buf`] (DESIGN.md §6.14): owned when the store was
+/// fitted or decoded from bytes, a zero-copy view of the `STOR` chunk when
+/// it was loaded from a mapped artifact. Writes copy a mapped matrix to
+/// the heap first; reads never see the difference.
 #[derive(Debug, Clone)]
 pub struct EmbeddingStore {
     dim: usize,
     symbols: Arc<TokenInterner>,
-    backing: EmbeddingBacking,
-}
-
-/// Where a store's coordinate data lives (DESIGN.md §6.14).
-///
-/// `Heap` is the classic decoded representation. `Mapped` serves the dense
-/// f64 matrix straight out of a memory-mapped v3 artifact: nothing is
-/// copied at load, rows are `&[f64]` views into the mapping, and the chunk's
-/// CRC is verified lazily on first featurization touch.
-#[derive(Debug, Clone)]
-pub enum EmbeddingBacking {
-    /// Vector per token id; `None` for tokens without an embedding (e.g.
-    /// refined-away tokens or row names in value-only stores).
-    Heap {
-        /// The per-token slots.
-        vectors: Vec<Option<Vec<f64>>>,
-        /// Number of `Some` slots.
-        count: usize,
-    },
-    /// Zero-copy rows inside a mapped artifact.
-    Mapped(MappedStore),
-}
-
-/// Lazy-CRC verification state of a mapped chunk.
-const CRC_UNCHECKED: u8 = 0;
-const CRC_OK: u8 = 1;
-const CRC_BAD: u8 = 2;
-
-/// The mapped variant of [`EmbeddingBacking`]: a dense `count × dim` f64
-/// matrix living inside an `Arc<MmapFile>`, addressed by numeric offsets
-/// (never self-referential borrows). Cloning shares the mapping and the
-/// verification state.
-#[derive(Debug, Clone)]
-pub struct MappedStore {
-    map: Arc<MmapFile>,
-    /// Token id → packed row index; `NO_ROW` for tokens without a vector.
+    /// Token id → row of `rows`; `NO_ROW` for tokens without a vector
+    /// (e.g. refined-away tokens or row names in value-only stores).
     slots: Vec<u32>,
-    /// Byte offset of the f64 matrix inside the map (8-aligned).
-    data_offset: usize,
-    /// Number of packed rows.
-    count: usize,
-    /// Full STOR payload range and declared CRC, for lazy verification.
-    payload_offset: usize,
-    payload_len: usize,
-    crc: u32,
-    /// Tri-state: unchecked → ok | bad. Shared across clones so the chunk
-    /// is hashed at most once per process.
-    verified: Arc<AtomicU8>,
-}
-
-const NO_ROW: u32 = u32::MAX;
-
-impl MappedStore {
-    fn row(&self, dim: usize, slot: u32) -> &[f64] {
-        let start = self.data_offset + slot as usize * dim * 8;
-        debug_assert!(start + dim * 8 <= self.map.len());
-        // SAFETY: construction validated that the matrix region lies inside
-        // the map and that `data_offset` is 8-aligned (so every row is);
-        // any f64 bit pattern is a valid value. Little-endian only — the
-        // constructor falls back to a heap decode on big-endian targets.
-        unsafe { std::slice::from_raw_parts(self.map.as_ptr().add(start) as *const f64, dim) }
-    }
-
-    /// Verifies the payload CRC on first call; later calls are an atomic
-    /// load. `true` means the mapped bytes match the artifact's checksum.
-    fn verify(&self) -> bool {
-        match self.verified.load(Ordering::Acquire) {
-            CRC_OK => true,
-            CRC_BAD => false,
-            _ => {
-                let payload =
-                    &self.map[self.payload_offset..self.payload_offset + self.payload_len];
-                let ok = crc32(payload) == self.crc;
-                let state = if ok { CRC_OK } else { CRC_BAD };
-                self.verified.store(state, Ordering::Release);
-                ok
-            }
-        }
-    }
+    /// Row-major `len × dim` coordinates.
+    rows: Buf<f64>,
+    /// Number of rows (kept apart from `rows` so `dim == 0` stays exact).
+    len: usize,
+    /// Deferred `STOR` verification of a mapped matrix.
+    check: LazyCheck,
 }
 
 /// A token was requested from a store that does not hold it.
@@ -127,8 +66,6 @@ impl std::error::Error for UnknownTokenError {}
 /// An immutable borrowed view of a store's dense vector table, indexed by
 /// interned [`TokenId`] (see [`EmbeddingStore::dense_view`]). `Copy`, so
 /// hot loops can keep it in a register instead of re-borrowing the store.
-/// Lookups resolve through whichever [`EmbeddingBacking`] the store has —
-/// heap slots or mapped rows — with identical semantics.
 #[derive(Debug, Clone, Copy)]
 pub struct DenseView<'a> {
     store: &'a EmbeddingStore,
@@ -158,104 +95,55 @@ impl EmbeddingStore {
     /// table — the pipeline path, where graph/corpus `TokenId`s index the
     /// store directly.
     pub fn with_symbols(symbols: Arc<TokenInterner>, dim: usize) -> Self {
-        let mut vectors = Vec::new();
-        vectors.resize_with(symbols.len(), || None);
         Self {
             dim,
+            slots: vec![NO_ROW; symbols.len()],
             symbols,
-            backing: EmbeddingBacking::Heap { vectors, count: 0 },
+            rows: Buf::default(),
+            len: 0,
+            check: LazyCheck::default(),
         }
-    }
-
-    /// Which backing this store serves from.
-    pub fn backing(&self) -> &EmbeddingBacking {
-        &self.backing
     }
 
     /// True when coordinates are served zero-copy from a mapped artifact.
     pub fn is_mapped(&self) -> bool {
-        matches!(self.backing, EmbeddingBacking::Mapped(_))
+        self.rows.is_mapped()
     }
 
-    /// Bytes of coordinate data resident on the heap (the slot table and,
-    /// for heap stores, every vector).
+    /// Bytes of coordinate data resident on the heap: the slot table plus
+    /// the matrix when it is owned.
     pub fn resident_bytes(&self) -> usize {
-        match &self.backing {
-            EmbeddingBacking::Heap { vectors, count } => {
-                vectors.capacity() * std::mem::size_of::<Option<Vec<f64>>>()
-                    + count * self.dim * std::mem::size_of::<f64>()
-            }
-            EmbeddingBacking::Mapped(m) => m.slots.capacity() * 4,
-        }
+        self.slots.capacity() * std::mem::size_of::<u32>() + self.rows.heap_bytes()
     }
 
-    /// Bytes of coordinate data served from a file mapping (0 for heap
+    /// Bytes of coordinate data served from a file mapping (0 for owned
     /// stores) — the counterpart `/metrics` reports next to
     /// [`EmbeddingStore::resident_bytes`].
     pub fn mapped_bytes(&self) -> usize {
-        match &self.backing {
-            EmbeddingBacking::Heap { .. } => 0,
-            EmbeddingBacking::Mapped(m) => m.payload_len,
-        }
+        self.rows.mapped_bytes()
     }
 
-    /// Lazily verifies a mapped store's chunk CRC (first call hashes the
-    /// payload; later calls are an atomic load). Heap stores are always
-    /// `true`. `false` means the mapped bytes do not match the artifact's
-    /// checksum and must not be trusted.
-    pub fn verify_mapped(&self) -> bool {
-        match &self.backing {
-            EmbeddingBacking::Heap { .. } => true,
-            EmbeddingBacking::Mapped(m) => m.verify(),
-        }
-    }
-
-    /// Rebuilds this store on the heap if it is mapped (used before any
-    /// mutation — mapped artifacts are immutable by construction).
-    fn ensure_heap(&mut self) {
-        if let EmbeddingBacking::Mapped(m) = &self.backing {
-            let mut vectors: Vec<Option<Vec<f64>>> = Vec::new();
-            vectors.resize_with(m.slots.len().max(self.symbols.len()), || None);
-            let mut count = 0;
-            for (i, &slot) in m.slots.iter().enumerate() {
-                if slot != NO_ROW {
-                    vectors[i] = Some(m.row(self.dim, slot).to_vec());
-                    count += 1;
-                }
-            }
-            self.backing = EmbeddingBacking::Heap { vectors, count };
-        }
-    }
-
-    /// Materializes a mapped store onto the heap so it can be mutated
-    /// (delta ingestion). Settles the deferred chunk CRC first and returns
-    /// `false` — leaving the store untouched — when the mapped payload
-    /// fails it. Heap stores return `true` immediately.
-    pub fn materialize(&mut self) -> bool {
-        if !self.verify_mapped() {
-            return false;
-        }
-        self.ensure_heap();
-        true
+    /// Settles the deferred `STOR` CRC of a store loaded from a mapped
+    /// artifact (first call hashes the payload; later calls are an atomic
+    /// load). Always `true` when nothing was deferred; `false` means the
+    /// loaded bytes do not match the artifact's checksum and must not be
+    /// trusted.
+    pub fn verify(&self) -> bool {
+        self.check.settle(|| true)
     }
 
     /// Swaps in an *extension* of the current symbol table (same interner,
     /// grown append-only by delta ingestion — existing `TokenId`s keep
-    /// their meaning). Materializes a mapped store first so slot sizing
-    /// follows the new table. Panics if `symbols` is shorter than the
-    /// current table, which can never be an extension.
+    /// their meaning). Panics if `symbols` is shorter than the current
+    /// table, which can never be an extension.
     pub fn upgrade_symbols(&mut self, symbols: Arc<TokenInterner>) {
         assert!(
             symbols.len() >= self.symbols.len(),
             "replacement symbol table must extend the current one"
         );
-        self.ensure_heap();
         self.symbols = symbols;
-        let symbol_count = self.symbols.len();
-        if let EmbeddingBacking::Heap { vectors, .. } = &mut self.backing {
-            if vectors.len() < symbol_count {
-                vectors.resize_with(symbol_count, || None);
-            }
+        if self.slots.len() < self.symbols.len() {
+            self.slots.resize(self.symbols.len(), NO_ROW);
         }
     }
 
@@ -271,15 +159,12 @@ impl EmbeddingStore {
 
     /// Number of stored tokens.
     pub fn len(&self) -> usize {
-        match &self.backing {
-            EmbeddingBacking::Heap { count, .. } => *count,
-            EmbeddingBacking::Mapped(m) => m.count,
-        }
+        self.len
     }
 
     /// True when no tokens are stored.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// Inserts a vector under a token string (boundary path: interns the
@@ -291,31 +176,34 @@ impl EmbeddingStore {
             Some(id) => id,
             None => Arc::make_mut(&mut self.symbols).intern(token),
         };
-        self.insert_id(id, vector);
+        self.insert_id(id, &vector);
     }
 
-    /// Inserts a vector under an already-interned token — the zero-hash hot
-    /// path. Panics if the dimension mismatches or the id is foreign to
-    /// this store's symbol table.
-    pub fn insert_id(&mut self, id: TokenId, vector: Vec<f64>) {
+    /// Inserts (or overwrites) the vector of an already-interned token —
+    /// the zero-hash hot path, copying `vector` into the flat matrix.
+    /// Panics if the dimension mismatches or the id is foreign to this
+    /// store's symbol table.
+    pub fn insert_id(&mut self, id: TokenId, vector: &[f64]) {
         assert_eq!(vector.len(), self.dim, "embedding dimension mismatch");
         assert!(
             id.index() < self.symbols.len(),
             "token id {id} outside the store's symbol table"
         );
-        self.ensure_heap();
-        let symbol_count = self.symbols.len();
-        let EmbeddingBacking::Heap { vectors, count } = &mut self.backing else {
-            unreachable!("ensure_heap materialized the store");
-        };
-        if vectors.len() < symbol_count {
-            vectors.resize_with(symbol_count, || None);
+        if self.slots.len() < self.symbols.len() {
+            self.slots.resize(self.symbols.len(), NO_ROW);
         }
-        let slot = &mut vectors[id.index()];
-        if slot.is_none() {
-            *count += 1;
+        let rows = self.rows.to_mut();
+        match self.slots[id.index()] {
+            NO_ROW => {
+                self.slots[id.index()] = u32::try_from(self.len).expect("row count fits u32");
+                rows.extend_from_slice(vector);
+                self.len += 1;
+            }
+            row => {
+                let start = row as usize * self.dim;
+                rows[start..start + self.dim].copy_from_slice(vector);
+            }
         }
-        *slot = Some(vector);
     }
 
     /// Vector for a token string (one hash, then a dense index).
@@ -325,20 +213,19 @@ impl EmbeddingStore {
 
     /// Vector for an interned token — pure array indexing.
     pub fn get_id(&self, id: TokenId) -> Option<&[f64]> {
-        match &self.backing {
-            EmbeddingBacking::Heap { vectors, .. } => vectors.get(id.index())?.as_deref(),
-            EmbeddingBacking::Mapped(m) => {
-                let &slot = m.slots.get(id.index())?;
-                (slot != NO_ROW).then(|| m.row(self.dim, slot))
-            }
-        }
+        let &row = self.slots.get(id.index())?;
+        (row != NO_ROW).then(|| self.row(row))
+    }
+
+    fn row(&self, row: u32) -> &[f64] {
+        let start = row as usize * self.dim;
+        &self.rows[start..start + self.dim]
     }
 
     /// Borrowed dense view over the vector table for bulk token-id lookups
     /// (the serving featurizer's cache build does one per graph node). The
-    /// view pins the slot array for its lifetime, and its lookups return
-    /// slices borrowing the *store*, so gathered references outlive any
-    /// one `get` call.
+    /// view's lookups return slices borrowing the *store*, so gathered
+    /// references outlive any one `get` call.
     pub fn dense_view(&self) -> DenseView<'_> {
         DenseView { store: self }
     }
@@ -363,24 +250,13 @@ impl EmbeddingStore {
     }
 
     /// Iterates `(id, vector)` in token-id order — the hashing-free dual of
-    /// [`EmbeddingStore::iter`] used by bulk consumers (quantization, the
-    /// artifact codec).
-    pub fn iter_ids(&self) -> Box<dyn Iterator<Item = (TokenId, &[f64])> + '_> {
-        match &self.backing {
-            EmbeddingBacking::Heap { vectors, .. } => Box::new(
-                vectors
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, v)| v.as_deref().map(|vec| (TokenId::from_index(i), vec))),
-            ),
-            EmbeddingBacking::Mapped(m) => Box::new(
-                m.slots
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &slot)| slot != NO_ROW)
-                    .map(move |(i, &slot)| (TokenId::from_index(i), m.row(self.dim, slot))),
-            ),
-        }
+    /// [`EmbeddingStore::iter`] used by bulk consumers (the codecs).
+    pub fn iter_ids(&self) -> impl Iterator<Item = (TokenId, &[f64])> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|&(_, &row)| row != NO_ROW)
+            .map(|(i, &row)| (TokenId::from_index(i), self.row(row)))
     }
 
     /// Tokens sorted lexicographically (deterministic order for exports).
@@ -401,9 +277,9 @@ impl EmbeddingStore {
         entries
     }
 
-    /// Estimated heap bytes of the dense vector table (slot array plus
-    /// vector payloads); mapped stores report only their resident slot
-    /// table. The shared symbol table is accounted separately via
+    /// Estimated heap bytes of the dense vector table (slot array plus an
+    /// owned matrix); mapped stores report only their resident slot table.
+    /// The shared symbol table is accounted separately via
     /// `symbols().estimated_bytes()`.
     pub fn estimated_bytes(&self) -> usize {
         self.resident_bytes()
@@ -425,7 +301,7 @@ impl EmbeddingStore {
         let projected = pca.transform(&data);
         let mut out = EmbeddingStore::with_symbols(Arc::clone(&self.symbols), projected.cols());
         for (i, (_, id, _)) in entries.iter().enumerate() {
-            out.insert_id(*id, projected.row(i).to_vec());
+            out.insert_id(*id, projected.row(i));
         }
         out
     }
@@ -498,26 +374,27 @@ impl EmbeddingStore {
     }
 
     /// Serializes the dense vector table as `dim | count | (id, dim × f64
-    /// bits)` entries in id order. The symbol table is stored separately by
-    /// the artifact layer; vectors round-trip bit-exactly.
+    /// bits)` entries in id order — the row-wise layout of the standalone
+    /// `LVST` store file. The symbol table is stored separately; vectors
+    /// round-trip bit-exactly.
     pub fn encode_into(&self, w: &mut ByteWriter) {
         w.put_u32(u32::try_from(self.dim).expect("dimension fits u32"));
-        w.put_u32(u32::try_from(self.len()).expect("vector count fits u32"));
+        w.put_u32(u32::try_from(self.len).expect("vector count fits u32"));
         for (id, vec) in self.iter_ids() {
             w.put_u32(id.raw());
             w.put_f64_slice(vec);
         }
     }
 
-    /// Serializes the dense vector table in the v3 *aligned* layout:
-    /// `u32 dim | u32 count | count ascending u32 ids | pad-to-8 |
-    /// count × dim f64 matrix`. Framed at an 8-aligned payload offset, the
-    /// matrix can be served zero-copy out of a file mapping (the header is
-    /// 8 bytes, so the id array starts aligned and the pad realigns the
-    /// matrix). Round-trips bit-exactly with the row-wise v1/v2 layout.
+    /// Serializes the dense vector table in the aligned `STOR` layout of
+    /// the model artifact: `u32 dim | u32 count | count ascending u32 ids |
+    /// pad-to-8 | count × dim f64 matrix`. Framed at an 8-aligned payload
+    /// offset, the matrix can be served zero-copy out of a file mapping
+    /// (the header is 8 bytes, so the id array starts aligned and the pad
+    /// realigns the matrix).
     pub fn encode_aligned_into(&self, w: &mut ByteWriter) {
         w.put_u32(u32::try_from(self.dim).expect("dimension fits u32"));
-        w.put_u32(u32::try_from(self.len()).expect("vector count fits u32"));
+        w.put_u32(u32::try_from(self.len).expect("vector count fits u32"));
         for (id, _) in self.iter_ids() {
             w.put_u32(id.raw());
         }
@@ -527,84 +404,32 @@ impl EmbeddingStore {
         }
     }
 
-    /// Decodes the v3 aligned layout (see
-    /// [`EmbeddingStore::encode_aligned_into`]) into a heap store — the
-    /// compatibility path used by `from_bytes` and by big-endian targets,
-    /// where zero-copy f64 views are unavailable.
-    pub fn decode_aligned_with_symbols(
-        r: &mut ByteReader<'_>,
+    /// Decodes a whole `STOR` payload (see
+    /// [`EmbeddingStore::encode_aligned_into`]) — the one decoder for
+    /// every load path.
+    ///
+    /// Validates the geometry — id range and ordering, padding, the exact
+    /// payload length — in `O(count)`, independent of `dim`. The matrix
+    /// becomes a [`Buf`]: a zero-copy view when `check` defers the CRC of
+    /// a payload inside a file mapping (and the address allows it), an
+    /// owned little-endian decode otherwise. `check` travels with the
+    /// store and settles on [`EmbeddingStore::verify`].
+    pub fn decode_aligned(
+        payload: &[u8],
         symbols: Arc<TokenInterner>,
+        check: LazyCheck,
     ) -> Result<EmbeddingStore, DecodeError> {
+        let mut r = ByteReader::new(payload);
         let dim = r.take_u32()? as usize;
         // Each entry needs 4 id bytes + dim×8 matrix bytes downstream.
         let per_entry = dim
             .checked_mul(8)
             .and_then(|b| b.checked_add(4))
             .ok_or(DecodeError::LengthOverflow)?;
-        let count = r.take_count(per_entry)?;
-        let mut ids = Vec::with_capacity(count);
-        let mut prev: Option<u32> = None;
-        for _ in 0..count {
-            let id = r.take_u32()?;
-            if (id as usize) >= symbols.len() {
-                return Err(DecodeError::Invalid("store token outside symbol table"));
-            }
-            if prev.is_some_and(|p| p >= id) {
-                return Err(DecodeError::Invalid("store ids not strictly ascending"));
-            }
-            prev = Some(id);
-            ids.push(id);
-        }
-        r.pad_to(8)?;
-        let mut store = EmbeddingStore::with_symbols(symbols, dim);
-        for id in ids {
-            let bytes = r.take_raw(dim * 8)?;
-            let vec: Vec<f64> = bytes
-                .chunks_exact(8)
-                .map(|b| {
-                    f64::from_bits(u64::from_le_bytes([
-                        b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-                    ]))
-                })
-                .collect();
-            store.insert_id(TokenId::from_index(id as usize), vec);
-        }
-        Ok(store)
-    }
-
-    /// Builds a zero-copy store over a v3 STOR payload inside `map`.
-    ///
-    /// Validates geometry only — offsets, alignment, id ordering and the
-    /// exact payload length — in `O(count)`, independent of `dim`; the
-    /// payload CRC is deferred to [`EmbeddingStore::verify_mapped`] (lazy,
-    /// first featurization touch). On big-endian targets, where the f64
-    /// matrix cannot be viewed in place, the payload is decoded to the heap
-    /// instead (same validation, no zero-copy property).
-    pub fn from_mapped(
-        symbols: Arc<TokenInterner>,
-        map: Arc<MmapFile>,
-        payload_offset: usize,
-        payload_len: usize,
-        crc: u32,
-    ) -> Result<EmbeddingStore, DecodeError> {
-        let end = payload_offset
-            .checked_add(payload_len)
-            .filter(|&e| e <= map.len())
-            .ok_or(DecodeError::LengthOverflow)?;
-        if !payload_offset.is_multiple_of(8) {
-            return Err(DecodeError::Invalid("STOR payload offset not 8-aligned"));
-        }
-        let payload = &map[payload_offset..end];
-        let mut r = ByteReader::new(payload);
-        let dim = r.take_u32()? as usize;
-        let per_entry = dim
-            .checked_mul(8)
-            .and_then(|b| b.checked_add(4))
-            .ok_or(DecodeError::LengthOverflow)?;
-        let count = r.take_count(per_entry)?;
+        let len = r.take_count(per_entry)?;
         let mut slots = vec![NO_ROW; symbols.len()];
         let mut prev: Option<u32> = None;
-        for row in 0..count {
+        for row in 0..len {
             let id = r.take_u32()?;
             if (id as usize) >= symbols.len() {
                 return Err(DecodeError::Invalid("store token outside symbol table"));
@@ -616,32 +441,21 @@ impl EmbeddingStore {
             slots[id as usize] = row as u32;
         }
         r.pad_to(8)?;
-        let matrix_bytes = count
+        let matrix_bytes = len
             .checked_mul(dim)
             .and_then(|n| n.checked_mul(8))
             .ok_or(DecodeError::LengthOverflow)?;
         if r.remaining() != matrix_bytes {
             return Err(DecodeError::Invalid("STOR payload length mismatch"));
         }
-        if !cfg!(target_endian = "little") {
-            let mut r = ByteReader::new(payload);
-            return Self::decode_aligned_with_symbols(&mut r, symbols);
-        }
-        let data_offset = payload_offset + r.consumed();
-        debug_assert_eq!(data_offset % 8, 0);
+        let rows = Buf::from_le_bytes(r.take_raw(matrix_bytes)?, check.map());
         Ok(EmbeddingStore {
             dim,
             symbols,
-            backing: EmbeddingBacking::Mapped(MappedStore {
-                map,
-                slots,
-                data_offset,
-                count,
-                payload_offset,
-                payload_len,
-                crc,
-                verified: Arc::new(AtomicU8::new(CRC_UNCHECKED)),
-            }),
+            slots,
+            rows,
+            len,
+            check,
         })
     }
 
@@ -664,15 +478,12 @@ impl EmbeddingStore {
             if id >= store.symbols.len() {
                 return Err(DecodeError::Invalid("store token outside symbol table"));
             }
-            let mut vec = Vec::with_capacity(dim);
-            for _ in 0..dim {
-                vec.push(r.take_f64()?);
-            }
+            let vec = Buf::<f64>::from_le_bytes(r.take_raw(dim * 8)?, None);
             let id = TokenId::from_index(id);
             if store.get_id(id).is_some() {
                 return Err(DecodeError::Invalid("duplicate store entry"));
             }
-            store.insert_id(id, vec);
+            store.insert_id(id, &vec);
         }
         Ok(store)
     }
@@ -1032,7 +843,7 @@ mod tests {
         let mut stringly = EmbeddingStore::new(2);
         for (i, (&tok, &id)) in tokens.iter().zip(&ids).enumerate() {
             let v = vec![i as f64, -(i as f64)];
-            dense.insert_id(id, v.clone());
+            dense.insert_id(id, &v);
             stringly.insert(tok, v);
         }
 
@@ -1054,9 +865,9 @@ mod tests {
             .collect();
         let symbols = Arc::new(symbols);
         let mut s = EmbeddingStore::with_symbols(Arc::clone(&symbols), 2);
-        s.insert_id(ids[0], vec![1.5, -0.0]);
-        s.insert_id(ids[1], vec![f64::NAN, 2.0_f64.powi(-1022)]);
-        s.insert_id(ids[3], vec![f64::INFINITY, -3.25]);
+        s.insert_id(ids[0], &[1.5, -0.0]);
+        s.insert_id(ids[1], &[f64::NAN, 2.0_f64.powi(-1022)]);
+        s.insert_id(ids[3], &[f64::INFINITY, -3.25]);
         let mut w = ByteWriter::new();
         s.encode_into(&mut w);
         let bytes = w.into_bytes();
@@ -1084,7 +895,7 @@ mod tests {
         let id = symbols.intern("a");
         let symbols = Arc::new(symbols);
         let mut s = EmbeddingStore::with_symbols(Arc::clone(&symbols), 4);
-        s.insert_id(id, vec![1.0; 4]);
+        s.insert_id(id, &[1.0; 4]);
         let mut w = ByteWriter::new();
         s.encode_into(&mut w);
         let bytes = w.into_bytes();
@@ -1130,5 +941,102 @@ mod tests {
         assert!(s.contains("novel"));
         assert_eq!(symbols.lookup("novel"), None);
         assert_eq!(s.symbols().len(), 2);
+    }
+
+    /// A store over a shared table with one token left without a vector,
+    /// inserted out of id order (rows land in insertion order).
+    fn sparse_store() -> EmbeddingStore {
+        let mut symbols = TokenInterner::new();
+        let ids: Vec<TokenId> = ["a", "b", "skip", "c"]
+            .iter()
+            .map(|t| symbols.intern(t))
+            .collect();
+        let mut s = EmbeddingStore::with_symbols(Arc::new(symbols), 3);
+        s.insert_id(ids[3], &[f64::INFINITY, -3.25, 0.5]);
+        s.insert_id(ids[0], &[1.5, -0.0, f64::NAN]);
+        s.insert_id(ids[1], &[2.0_f64.powi(-1022), 7.0, -1.0]);
+        s
+    }
+
+    fn aligned_bytes(s: &EmbeddingStore) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        s.encode_aligned_into(&mut w);
+        w.into_bytes()
+    }
+
+    fn assert_same_vectors(a: &EmbeddingStore, b: &EmbeddingStore) {
+        assert_eq!(a.len(), b.len());
+        assert_eq!(a.dim(), b.dim());
+        for (id, _) in a.symbols().iter() {
+            match (a.get_id(id), b.get_id(id)) {
+                (None, None) => {}
+                (Some(x), Some(y)) => {
+                    for (p, q) in x.iter().zip(y) {
+                        assert_eq!(p.to_bits(), q.to_bits());
+                    }
+                }
+                other => panic!("presence mismatch: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn aligned_codec_round_trips_to_an_owned_store() {
+        let s = sparse_store();
+        let bytes = aligned_bytes(&s);
+        let back =
+            EmbeddingStore::decode_aligned(&bytes, Arc::clone(s.symbols()), LazyCheck::default())
+                .unwrap();
+        assert!(!back.is_mapped());
+        assert!(back.verify());
+        assert_same_vectors(&s, &back);
+        assert_eq!(aligned_bytes(&back), bytes, "codec is not a fixed point");
+        for cut in 0..bytes.len() {
+            let r = EmbeddingStore::decode_aligned(
+                &bytes[..cut],
+                Arc::clone(s.symbols()),
+                LazyCheck::default(),
+            );
+            assert!(r.is_err(), "cut at {cut} decoded");
+        }
+    }
+
+    /// A `STOR` payload inside a mapping is viewed in place, verified
+    /// lazily, and copied to the heap on the first write only.
+    #[test]
+    fn mapped_payload_is_viewed_checked_lazily_and_copied_on_write() {
+        let s = sparse_store();
+        let bytes = aligned_bytes(&s);
+        let path = std::env::temp_dir().join(format!("leva_stor_{}.bin", std::process::id()));
+        let mut file = bytes.clone();
+        file.extend_from_slice(&bytes);
+        let last = file.len() - 1;
+        file[last] ^= 0x01; // the second copy's matrix is corrupt
+        std::fs::write(&path, &file).unwrap();
+        let map = Arc::new(leva_interner::MmapFile::open(&path).unwrap());
+        let n = bytes.len();
+        let decode = |offset: usize| {
+            let check = LazyCheck::crc(&map, offset, n, crc32(&bytes));
+            EmbeddingStore::decode_aligned(&map[offset..offset + n], Arc::clone(s.symbols()), check)
+                .unwrap()
+        };
+
+        let mut good = decode(0);
+        if cfg!(all(unix, target_endian = "little")) {
+            assert!(good.is_mapped());
+            assert_eq!(good.mapped_bytes(), 3 * 3 * 8);
+        }
+        assert!(good.verify());
+        assert_same_vectors(&s, &good);
+        let c = s.symbols().lookup("c").unwrap();
+        good.insert_id(c, &[0.0, 0.0, 0.0]);
+        assert!(!good.is_mapped());
+        assert_eq!(good.get_id(c), Some([0.0, 0.0, 0.0].as_slice()));
+
+        let bad = decode(n);
+        assert!(!bad.verify(), "flipped matrix bit must fail the settle");
+        assert!(!bad.clone().verify(), "the verdict is shared by clones");
+        drop((good, bad, map));
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -8,11 +8,9 @@
 
 use crate::relationships::{ExtraEdgeGroup, RelationshipInjection};
 use crate::voting::TokenVotes;
-use leva_interner::codec::crc32;
-use leva_interner::{MmapFile, TokenId, TokenInterner};
+use leva_interner::{Buf, LazyCheck, TokenId, TokenInterner};
 use leva_linalg::CsrMatrix;
 use leva_textify::TokenizedDatabase;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 /// Sentinel in the dense token→value-node index: "no value node".
@@ -182,112 +180,18 @@ impl<'g> IntoIterator for Neighbors<'g> {
     }
 }
 
-/// Deferred-validation states of a mapped adjacency (CRC plus symmetry),
-/// mirroring the embedding store's lazy-CRC settle.
-pub(crate) const ADJ_UNCHECKED: u8 = 0;
-const ADJ_OK: u8 = 1;
-const ADJ_BAD: u8 = 2;
-
-/// A CSR adjacency served zero-copy from a mapped v3 `GRPH` payload: the
-/// offset/target/weight arrays are viewed in place through numeric offsets
-/// into the shared mapping. Geometry (bounds, alignment, monotonic
-/// offsets, in-range targets) is validated eagerly at construction —
-/// memory safety never depends on the deferred checks — while the payload
-/// CRC and adjacency symmetry settle on first [`MappedAdjacency::verify`].
+/// The CSR adjacency: `n_nodes + 1` cumulative edge offsets plus parallel
+/// target and weight arrays. Each array is a [`Buf`] — owned for built,
+/// patched and byte-decoded graphs, a zero-copy view of the `GRPH` chunk
+/// for graphs loaded from a mapped artifact.
 #[derive(Debug, Clone)]
-pub(crate) struct MappedAdjacency {
-    pub(crate) map: Arc<MmapFile>,
-    /// Absolute byte offset of the `n_nodes + 1` CSR offsets (8-aligned).
-    pub(crate) offsets_off: usize,
-    /// Absolute byte offset of the `n_directed` `u32` targets (4-aligned).
-    pub(crate) targets_off: usize,
-    /// Absolute byte offset of the `n_directed` `f64` weights (8-aligned).
-    pub(crate) weights_off: usize,
-    pub(crate) n_nodes: usize,
-    pub(crate) n_directed: usize,
-    /// Whole-payload extent and expected CRC for the deferred settle.
-    pub(crate) payload_offset: usize,
-    pub(crate) payload_len: usize,
-    pub(crate) crc: u32,
-    pub(crate) verified: Arc<AtomicU8>,
+pub(crate) struct Csr {
+    pub(crate) offsets: Buf<u64>,
+    pub(crate) targets: Buf<u32>,
+    pub(crate) weights: Buf<f64>,
 }
 
-impl MappedAdjacency {
-    pub(crate) fn offsets(&self) -> &[u64] {
-        // SAFETY: the constructor validated that `offsets_off` is 8-aligned
-        // and `(n_nodes + 1) * 8` bytes from it lie inside the mapping,
-        // which lives as long as `self` through the Arc. Little-endian
-        // targets only (the constructor falls back to heap decode
-        // elsewhere).
-        unsafe {
-            std::slice::from_raw_parts(
-                self.map.as_ptr().add(self.offsets_off) as *const u64,
-                self.n_nodes + 1,
-            )
-        }
-    }
-
-    pub(crate) fn targets(&self) -> &[u32] {
-        // SAFETY: as above; `targets_off` is 4-aligned with `n_directed`
-        // u32 words in bounds.
-        unsafe {
-            std::slice::from_raw_parts(
-                self.map.as_ptr().add(self.targets_off) as *const u32,
-                self.n_directed,
-            )
-        }
-    }
-
-    pub(crate) fn weights(&self) -> &[f64] {
-        // SAFETY: as above; `weights_off` is 8-aligned with `n_directed`
-        // f64 words in bounds.
-        unsafe {
-            std::slice::from_raw_parts(
-                self.map.as_ptr().add(self.weights_off) as *const f64,
-                self.n_directed,
-            )
-        }
-    }
-
-    /// Settles the deferred validation: CRC-32 over the whole `GRPH`
-    /// payload plus the adjacency symmetry check the eager decode paths
-    /// run, exactly once, with the verdict cached for every later call.
-    pub(crate) fn verify(&self) -> bool {
-        match self.verified.load(Ordering::Acquire) {
-            ADJ_OK => true,
-            ADJ_BAD => false,
-            _ => {
-                let payload =
-                    &self.map[self.payload_offset..self.payload_offset + self.payload_len];
-                let ok = crc32(payload) == self.crc
-                    && crate::serialize::validate_symmetry(
-                        self.offsets(),
-                        self.targets(),
-                        self.weights(),
-                    )
-                    .is_ok();
-                self.verified
-                    .store(if ok { ADJ_OK } else { ADJ_BAD }, Ordering::Release);
-                ok
-            }
-        }
-    }
-}
-
-/// Where the CSR adjacency arrays live: owned flat vectors (built, fitted,
-/// or heap-decoded graphs) or zero-copy views into a mapped artifact.
-#[derive(Debug, Clone)]
-pub(crate) enum GraphAdjacency {
-    Heap {
-        /// `n_nodes + 1` cumulative edge offsets.
-        offsets: Vec<u64>,
-        targets: Vec<u32>,
-        weights: Vec<f64>,
-    },
-    Mapped(MappedAdjacency),
-}
-
-impl GraphAdjacency {
+impl Csr {
     /// Flattens builder-order nested rows into CSR, preserving per-node
     /// entry order exactly — fit output is fingerprint-frozen on it.
     pub(crate) fn from_nested(nested: Vec<Vec<(u32, f64)>>) -> Self {
@@ -303,31 +207,10 @@ impl GraphAdjacency {
             }
             offsets.push(targets.len() as u64);
         }
-        Self::Heap {
-            offsets,
-            targets,
-            weights,
-        }
-    }
-
-    pub(crate) fn offsets(&self) -> &[u64] {
-        match self {
-            Self::Heap { offsets, .. } => offsets,
-            Self::Mapped(m) => m.offsets(),
-        }
-    }
-
-    pub(crate) fn targets(&self) -> &[u32] {
-        match self {
-            Self::Heap { targets, .. } => targets,
-            Self::Mapped(m) => m.targets(),
-        }
-    }
-
-    pub(crate) fn weights(&self) -> &[f64] {
-        match self {
-            Self::Heap { weights, .. } => weights,
-            Self::Mapped(m) => m.weights(),
+        Csr {
+            offsets: offsets.into(),
+            targets: targets.into(),
+            weights: weights.into(),
         }
     }
 }
@@ -340,7 +223,10 @@ pub struct LevaGraph {
     /// token for values) — resolved through `symbols` on demand.
     pub(crate) node_tokens: Vec<TokenId>,
     pub(crate) symbols: Arc<TokenInterner>,
-    pub(crate) adj: GraphAdjacency,
+    pub(crate) adj: Csr,
+    /// Deferred `GRPH` verification (CRC plus symmetry) of a graph loaded
+    /// from a mapped artifact.
+    pub(crate) check: LazyCheck,
     pub(crate) n_row_nodes: usize,
     pub(crate) row_offsets: Vec<usize>,
     pub(crate) table_names: Vec<String>,
@@ -368,7 +254,7 @@ impl LevaGraph {
 
     /// Number of undirected edges.
     pub fn n_edges(&self) -> usize {
-        self.adj.targets().len() / 2
+        self.adj.targets.len() / 2
     }
 
     /// Node kind.
@@ -395,14 +281,14 @@ impl LevaGraph {
     }
 
     /// Neighbour list with edge weights: an O(1) slice view into the CSR
-    /// backing (heap or mapped alike).
+    /// arrays.
     pub fn neighbors(&self, node: u32) -> Neighbors<'_> {
         self.try_neighbors(node).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Degree (number of incident edges).
     pub fn degree(&self, node: u32) -> usize {
-        let offsets = self.adj.offsets();
+        let offsets = &self.adj.offsets;
         let i = node as usize;
         (offsets[i + 1] - offsets[i]) as usize
     }
@@ -439,7 +325,7 @@ impl LevaGraph {
     /// Checked variant of [`LevaGraph::neighbors`] for node ids influenced
     /// by external data.
     pub fn try_neighbors(&self, node: u32) -> Result<Neighbors<'_>, GraphIndexError> {
-        let offsets = self.adj.offsets();
+        let offsets = &self.adj.offsets;
         let i = node as usize;
         if i + 1 >= offsets.len() {
             return Err(GraphIndexError::NodeOutOfRange {
@@ -449,8 +335,8 @@ impl LevaGraph {
         }
         let (lo, hi) = (offsets[i] as usize, offsets[i + 1] as usize);
         Ok(Neighbors {
-            targets: &self.adj.targets()[lo..hi],
-            weights: &self.adj.weights()[lo..hi],
+            targets: &self.adj.targets[lo..hi],
+            weights: &self.adj.weights[lo..hi],
         })
     }
 
@@ -505,27 +391,22 @@ impl LevaGraph {
     }
 
     /// Estimated heap bytes of the adjacency structure (drives the MF/RW
-    /// memory-based method selection). Computed from the actual backing: a
+    /// memory-based method selection). Computed from the actual buffers: a
     /// mapped adjacency costs no process heap — the kernel pages it.
     pub fn estimated_adjacency_bytes(&self) -> usize {
-        match &self.adj {
-            GraphAdjacency::Heap {
-                offsets,
-                targets,
-                weights,
-            } => offsets.len() * 8 + targets.len() * 4 + weights.len() * 8,
-            GraphAdjacency::Mapped(_) => 0,
-        }
+        self.adj.offsets.heap_bytes()
+            + self.adj.targets.heap_bytes()
+            + self.adj.weights.heap_bytes()
     }
 
     /// True when the adjacency is served zero-copy from an artifact
     /// mapping.
     pub fn is_mapped(&self) -> bool {
-        matches!(self.adj, GraphAdjacency::Mapped(_))
+        self.mapped_bytes() > 0
     }
 
-    /// Process-resident bytes of the graph: the adjacency backing (zero
-    /// when mapped) plus the always-resident node metadata.
+    /// Process-resident bytes of the graph: the owned adjacency arrays plus
+    /// the always-resident node metadata.
     pub fn resident_bytes(&self) -> usize {
         self.kinds.len() * std::mem::size_of::<NodeKind>()
             + self.node_tokens.len() * std::mem::size_of::<TokenId>()
@@ -534,23 +415,27 @@ impl LevaGraph {
             + self.estimated_adjacency_bytes()
     }
 
-    /// Bytes served directly from the artifact mapping (0 for heap
-    /// graphs).
+    /// Bytes served directly from the artifact mapping (0 for owned
+    /// adjacencies).
     pub fn mapped_bytes(&self) -> usize {
-        match &self.adj {
-            GraphAdjacency::Heap { .. } => 0,
-            GraphAdjacency::Mapped(m) => m.payload_len,
-        }
+        self.adj.offsets.mapped_bytes()
+            + self.adj.targets.mapped_bytes()
+            + self.adj.weights.mapped_bytes()
     }
 
-    /// Settles the deferred `GRPH` validation of a mapped graph: payload
-    /// CRC plus adjacency symmetry, checked once and cached. Heap-backed
-    /// graphs were validated eagerly at decode and always return `true`.
-    pub fn verify_mapped(&self) -> bool {
-        match &self.adj {
-            GraphAdjacency::Heap { .. } => true,
-            GraphAdjacency::Mapped(m) => m.verify(),
-        }
+    /// Settles the deferred `GRPH` validation of a graph loaded from a
+    /// mapped artifact: payload CRC plus adjacency symmetry, checked once
+    /// and cached. Always `true` when nothing was deferred (built graphs,
+    /// and byte decodes, which check symmetry eagerly).
+    pub fn verify(&self) -> bool {
+        self.check.settle(|| {
+            crate::serialize::validate_symmetry(
+                &self.adj.offsets,
+                &self.adj.targets,
+                &self.adj.weights,
+            )
+            .is_ok()
+        })
     }
 }
 
@@ -768,7 +653,8 @@ pub fn build_graph_with_relationships(
             kinds,
             node_tokens,
             symbols,
-            adj: GraphAdjacency::from_nested(adj),
+            adj: Csr::from_nested(adj),
+            check: LazyCheck::default(),
             n_row_nodes,
             row_offsets,
             table_names,

@@ -27,9 +27,7 @@ use std::sync::Arc;
 
 use leva_textify::{TokenizedDatabase, TokenizedRow};
 
-use crate::builder::{
-    GraphAdjacency, GraphConfig, GraphIndexError, LevaGraph, NodeKind, NO_VALUE_NODE,
-};
+use crate::builder::{Csr, GraphConfig, GraphIndexError, LevaGraph, NodeKind, NO_VALUE_NODE};
 use crate::voting::TokenVotes;
 
 /// Summary of one append patch, in post-patch node ids.
@@ -65,37 +63,15 @@ struct DeltaEntry {
 }
 
 impl LevaGraph {
-    /// Materializes a mapped adjacency onto the heap so it can be patched.
-    /// Settles the deferred CRC + symmetry validation first and returns
-    /// `false` (leaving the graph untouched) when the mapped payload fails
-    /// it. Heap-backed graphs return `true` immediately.
-    pub fn ensure_heap(&mut self) -> bool {
-        match &self.adj {
-            GraphAdjacency::Heap { .. } => true,
-            GraphAdjacency::Mapped(m) => {
-                if !m.verify() {
-                    return false;
-                }
-                self.adj = GraphAdjacency::Heap {
-                    offsets: m.offsets().to_vec(),
-                    targets: m.targets().to_vec(),
-                    weights: m.weights().to_vec(),
-                };
-                true
-            }
-        }
-    }
-
     /// Patches the graph for rows appended to `table` of `tokenized`.
     ///
     /// `tokenized` must already contain the appended rows and share (an
     /// extension of) this graph's symbol table; `first_new_row` is the
     /// table's row count before the append. The graph adopts
-    /// `tokenized.symbols` as its own symbol table.
-    ///
-    /// The adjacency must be heap-backed (call [`LevaGraph::ensure_heap`]
-    /// first); a mapped adjacency panics, since proceeding would silently
-    /// drop the mapping.
+    /// `tokenized.symbols` as its own symbol table, and the rebuilt
+    /// adjacency is owned. A graph loaded from a mapped artifact should be
+    /// [verified](LevaGraph::verify) first, so that a corrupt payload is
+    /// not patched on top of.
     pub fn patch_append(
         &mut self,
         tokenized: &TokenizedDatabase,
@@ -109,10 +85,6 @@ impl LevaGraph {
                 tables: self.row_offsets.len(),
             });
         }
-        assert!(
-            matches!(self.adj, GraphAdjacency::Heap { .. }),
-            "patch_append requires a heap adjacency; call ensure_heap() first"
-        );
         assert!(
             tokenized.symbols.len() >= self.symbols.len(),
             "tokenized symbol table must extend the graph's"
@@ -147,9 +119,11 @@ impl LevaGraph {
         let old_n = self.kinds.len();
         let mut nested: Vec<Vec<(u32, f64)>> = Vec::with_capacity(old_n + n_new);
         {
-            let offsets = self.adj.offsets();
-            let targets = self.adj.targets();
-            let weights = self.adj.weights();
+            let Csr {
+                offsets,
+                targets,
+                weights,
+            } = &self.adj;
             for u in 0..old_n {
                 if u == insert_pos {
                     for _ in 0..n_new {
@@ -354,7 +328,7 @@ impl LevaGraph {
         patch.rows_with_new_edges.sort_unstable();
         patch.rows_with_new_edges.dedup();
 
-        self.adj = GraphAdjacency::from_nested(nested);
+        self.adj = Csr::from_nested(nested);
         Ok(patch)
     }
 }

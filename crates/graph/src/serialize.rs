@@ -12,12 +12,9 @@
 //! the remaining buffer before any allocation, node/token references are
 //! range-checked, and all failures are typed [`DecodeError`]s.
 
-use crate::builder::{
-    GraphAdjacency, LevaGraph, MappedAdjacency, NodeKind, RefineStats, ADJ_UNCHECKED, NO_VALUE_NODE,
-};
+use crate::builder::{Csr, LevaGraph, NodeKind, RefineStats, NO_VALUE_NODE};
 use leva_interner::codec::{ByteReader, ByteWriter, DecodeError};
-use leva_interner::{MmapFile, TokenId, TokenInterner};
-use std::sync::atomic::AtomicU8;
+use leva_interner::{Buf, LazyCheck, TokenId, TokenInterner};
 use std::sync::Arc;
 
 /// Validates that the CSR adjacency encodes an *undirected* graph: every
@@ -76,41 +73,12 @@ pub(crate) fn validate_symmetry(
 
 impl LevaGraph {
     /// Serializes the graph (without its symbol table, which the artifact
-    /// stores once and shares across chunks).
-    pub fn encode_into(&self, w: &mut ByteWriter) {
-        w.put_u32(u32::try_from(self.table_names.len()).expect("table count fits u32"));
-        for name in &self.table_names {
-            w.put_str(name);
-        }
-        for &off in &self.row_offsets {
-            w.put_u64(off as u64);
-        }
-        w.put_u64(self.n_row_nodes as u64);
-        w.put_u32(u32::try_from(self.node_tokens.len()).expect("node count fits u32"));
-        for &t in &self.node_tokens {
-            w.put_u32(t.raw());
-        }
-        for node in 0..self.node_tokens.len() as u32 {
-            let nbrs = self.neighbors(node);
-            w.put_u32(u32::try_from(nbrs.len()).expect("degree fits u32"));
-            for (v, weight) in nbrs {
-                w.put_u32(v);
-                w.put_f64(weight);
-            }
-        }
-        w.put_u64(self.stats.tokens_total as u64);
-        w.put_u64(self.stats.tokens_removed_missing as u64);
-        w.put_u64(self.stats.token_attrs_removed as u64);
-        w.put_u64(self.stats.singleton_tokens_skipped as u64);
-    }
-
-    /// Serializes the graph in the v3 *aligned CSR* layout: after the
-    /// variable-length table names, the adjacency is three contiguous
-    /// arrays — `u64` cumulative offsets, `u32` targets, `f64` weights —
-    /// each preceded by `pad_to(8)` so that, framed at an 8-aligned payload
-    /// offset, every array is naturally aligned in a file mapping. Decodes
-    /// with [`LevaGraph::decode_aligned`]; round-trips bitwise with the
-    /// nested v1/v2 layout.
+    /// stores once and shares across chunks) in the *aligned CSR* layout:
+    /// after the variable-length table names, the adjacency is three
+    /// contiguous arrays — `u64` cumulative offsets, `u32` targets, `f64`
+    /// weights — each preceded by `pad_to(8)` so that, framed at an
+    /// 8-aligned payload offset, every array is naturally aligned in a file
+    /// mapping. Decodes with [`LevaGraph::decode_aligned`].
     pub fn encode_aligned_into(&self, w: &mut ByteWriter) {
         w.put_u32(u32::try_from(self.table_names.len()).expect("table count fits u32"));
         for name in &self.table_names {
@@ -129,10 +97,10 @@ impl LevaGraph {
                 .map(|&o| o as u64)
                 .collect::<Vec<_>>(),
         );
-        w.put_u64_slice(self.adj.offsets());
-        w.put_u32_slice(self.adj.targets());
+        w.put_u64_slice(&self.adj.offsets);
+        w.put_u32_slice(&self.adj.targets);
         w.pad_to(8);
-        w.put_f64_slice(self.adj.weights());
+        w.put_f64_slice(&self.adj.weights);
         w.put_u64_slice(&[
             self.stats.tokens_total as u64,
             self.stats.tokens_removed_missing as u64,
@@ -141,230 +109,25 @@ impl LevaGraph {
         ]);
     }
 
-    /// Decodes the v3 aligned CSR layout (see
-    /// [`LevaGraph::encode_aligned_into`]) with the same validation set as
-    /// [`LevaGraph::decode`], plus CSR-offset monotonicity.
-    pub fn decode_aligned(
-        r: &mut ByteReader<'_>,
-        symbols: Arc<TokenInterner>,
-    ) -> Result<LevaGraph, DecodeError> {
-        let n_tables = r.take_count(4)?;
-        let mut table_names = Vec::with_capacity(n_tables);
-        for _ in 0..n_tables {
-            table_names.push(r.take_str()?.to_owned());
-        }
-        let n_row_nodes = r.take_usize()?;
-        let n_nodes = r.take_count(4)?;
-        if n_row_nodes > n_nodes {
-            return Err(DecodeError::Invalid("row-node count exceeds node count"));
-        }
-        let mut node_tokens = Vec::with_capacity(n_nodes);
-        for _ in 0..n_nodes {
-            let raw = r.take_u32()?;
-            if raw as usize >= symbols.len() {
-                return Err(DecodeError::Invalid("node token outside symbol table"));
-            }
-            node_tokens.push(TokenId::from_index(raw as usize));
-        }
-        r.pad_to(8)?;
-        if r.remaining() < n_tables.saturating_mul(8) {
-            return Err(DecodeError::Truncated);
-        }
-        let mut row_offsets = Vec::with_capacity(n_tables);
-        for _ in 0..n_tables {
-            row_offsets.push(r.take_usize()?);
-        }
-        let mut prev = 0usize;
-        for &off in &row_offsets {
-            if off < prev || off > n_row_nodes {
-                return Err(DecodeError::Invalid("row offsets not monotonic"));
-            }
-            prev = off;
-        }
-        if n_row_nodes > 0 && row_offsets.first() != Some(&0) {
-            return Err(DecodeError::Invalid("first row offset must be zero"));
-        }
-        // CSR offsets: n_nodes + 1 monotone u64s bounding the edge count.
-        if r.remaining() < (n_nodes + 1).saturating_mul(8) {
-            return Err(DecodeError::Truncated);
-        }
-        let mut offsets = Vec::with_capacity(n_nodes + 1);
-        for _ in 0..n_nodes + 1 {
-            offsets.push(r.take_usize()? as u64);
-        }
-        if offsets.first() != Some(&0) {
-            return Err(DecodeError::Invalid("first CSR offset must be zero"));
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(DecodeError::Invalid("CSR offsets not monotonic"));
-        }
-        let n_edges = *offsets.last().expect("offsets non-empty") as usize;
-        // Targets (4 bytes) + alignment + weights (8 bytes) must fit.
-        if n_edges
-            .checked_mul(12)
-            .is_none_or(|need| need > r.remaining())
-        {
-            return Err(DecodeError::LengthOverflow);
-        }
-        let mut targets = Vec::with_capacity(n_edges);
-        for _ in 0..n_edges {
-            let v = r.take_u32()?;
-            if v as usize >= n_nodes {
-                return Err(DecodeError::Invalid("adjacency target out of range"));
-            }
-            targets.push(v);
-        }
-        r.pad_to(8)?;
-        let mut weights = Vec::with_capacity(n_edges);
-        for _ in 0..n_edges {
-            weights.push(r.take_f64()?);
-        }
-        let adj = GraphAdjacency::Heap {
-            offsets,
-            targets,
-            weights,
-        };
-        let stats = RefineStats {
-            tokens_total: r.take_usize()?,
-            tokens_removed_missing: r.take_usize()?,
-            token_attrs_removed: r.take_usize()?,
-            singleton_tokens_skipped: r.take_usize()?,
-        };
-        Self::reconstruct(
-            symbols,
-            table_names,
-            row_offsets,
-            n_row_nodes,
-            node_tokens,
-            adj,
-            stats,
-        )
-    }
-
-    /// Decodes a graph produced by [`LevaGraph::encode_into`], resolving
-    /// node identities through `symbols`. Rejects out-of-range token ids,
-    /// dangling adjacency targets, non-monotonic row offsets, and value
-    /// nodes sharing a token.
-    pub fn decode(
-        r: &mut ByteReader<'_>,
-        symbols: Arc<TokenInterner>,
-    ) -> Result<LevaGraph, DecodeError> {
-        let n_tables = r.take_count(4)?;
-        let mut table_names = Vec::with_capacity(n_tables);
-        for _ in 0..n_tables {
-            table_names.push(r.take_str()?.to_owned());
-        }
-        if r.remaining() < n_tables.saturating_mul(8) {
-            return Err(DecodeError::Truncated);
-        }
-        let mut row_offsets = Vec::with_capacity(n_tables);
-        for _ in 0..n_tables {
-            row_offsets.push(r.take_usize()?);
-        }
-        let n_row_nodes = r.take_usize()?;
-        let n_nodes = r.take_count(4)?;
-        if n_row_nodes > n_nodes {
-            return Err(DecodeError::Invalid("row-node count exceeds node count"));
-        }
-        // Row offsets must be monotonically non-decreasing and stay within
-        // the row-node range, or `row_node()` would index out of the graph.
-        let mut prev = 0usize;
-        for &off in &row_offsets {
-            if off < prev || off > n_row_nodes {
-                return Err(DecodeError::Invalid("row offsets not monotonic"));
-            }
-            prev = off;
-        }
-        if n_row_nodes > 0 && row_offsets.first() != Some(&0) {
-            return Err(DecodeError::Invalid("first row offset must be zero"));
-        }
-        let mut node_tokens = Vec::with_capacity(n_nodes);
-        for _ in 0..n_nodes {
-            let raw = r.take_u32()?;
-            if raw as usize >= symbols.len() {
-                return Err(DecodeError::Invalid("node token outside symbol table"));
-            }
-            node_tokens.push(TokenId::from_index(raw as usize));
-        }
-        let mut offsets = Vec::with_capacity(n_nodes + 1);
-        offsets.push(0u64);
-        let mut targets: Vec<u32> = Vec::new();
-        let mut weights: Vec<f64> = Vec::new();
-        for _ in 0..n_nodes {
-            let deg = r.take_count(12)?;
-            targets.reserve(deg);
-            weights.reserve(deg);
-            for _ in 0..deg {
-                let v = r.take_u32()?;
-                if v as usize >= n_nodes {
-                    return Err(DecodeError::Invalid("adjacency target out of range"));
-                }
-                targets.push(v);
-                weights.push(r.take_f64()?);
-            }
-            offsets.push(targets.len() as u64);
-        }
-        let adj = GraphAdjacency::Heap {
-            offsets,
-            targets,
-            weights,
-        };
-        let stats = RefineStats {
-            tokens_total: r.take_usize()?,
-            tokens_removed_missing: r.take_usize()?,
-            token_attrs_removed: r.take_usize()?,
-            singleton_tokens_skipped: r.take_usize()?,
-        };
-
-        Self::reconstruct(
-            symbols,
-            table_names,
-            row_offsets,
-            n_row_nodes,
-            node_tokens,
-            adj,
-            stats,
-        )
-    }
-
-    /// Constructs a graph whose CSR adjacency is served zero-copy from the
-    /// mapped `GRPH` payload at `[payload_offset, payload_offset +
-    /// payload_len)` of `map` (the v3 aligned layout of
-    /// [`LevaGraph::encode_aligned_into`]).
+    /// Decodes a whole `GRPH` payload (see
+    /// [`LevaGraph::encode_aligned_into`]), resolving node identities
+    /// through `symbols` — the one decoder for every load path.
     ///
     /// The variable-length header (table names, node tokens, row offsets)
-    /// is small and copied; the three flat adjacency arrays are viewed in
-    /// place. All *geometry* — bounds, 8-alignment, monotone offsets,
-    /// in-range targets — is validated eagerly so no later access can read
-    /// outside the mapping; the payload CRC and the adjacency symmetry
-    /// check settle lazily on [`LevaGraph::verify_mapped`], keeping load
-    /// O(header). Big-endian targets and heap-backed "mappings" cannot
-    /// view little-endian words in place and fall back to the eager
-    /// [`LevaGraph::decode_aligned`].
-    pub fn from_mapped(
+    /// is small and copied. The three CSR arrays become [`Buf`]s: zero-copy
+    /// views when `check` defers the CRC of a payload inside a file mapping
+    /// (and the addresses allow it), owned little-endian decodes otherwise.
+    /// All *geometry* — bounds, monotone offsets, in-range targets, value
+    /// nodes with distinct tokens — is validated here, so no later access
+    /// can index outside the graph. The adjacency symmetry check runs here
+    /// too when nothing is deferred; otherwise it settles with the CRC on
+    /// [`LevaGraph::verify`], keeping a mapped load free of the `O(E log E)`
+    /// pass.
+    pub fn decode_aligned(
+        payload: &[u8],
         symbols: Arc<TokenInterner>,
-        map: Arc<MmapFile>,
-        payload_offset: usize,
-        payload_len: usize,
-        crc: u32,
+        check: LazyCheck,
     ) -> Result<LevaGraph, DecodeError> {
-        let end = payload_offset
-            .checked_add(payload_len)
-            .filter(|&e| e <= map.len())
-            .ok_or(DecodeError::LengthOverflow)?;
-        if !payload_offset.is_multiple_of(8) {
-            return Err(DecodeError::Invalid("GRPH payload not 8-aligned"));
-        }
-        let payload = &map[payload_offset..end];
-        if !cfg!(target_endian = "little") || !map.is_mapped() {
-            let mut r = ByteReader::new(payload);
-            let g = Self::decode_aligned(&mut r, symbols)?;
-            if !r.is_exhausted() {
-                return Err(DecodeError::Invalid("trailing bytes after graph"));
-            }
-            return Ok(g);
-        }
-        // Header parse, identical validation to `decode_aligned`.
         let mut r = ByteReader::new(payload);
         let n_tables = r.take_count(4)?;
         let mut table_names = Vec::with_capacity(n_tables);
@@ -392,6 +155,8 @@ impl LevaGraph {
         for _ in 0..n_tables {
             row_offsets.push(r.take_usize()?);
         }
+        // Row offsets must be monotonically non-decreasing and stay within
+        // the row-node range, or `row_node()` would index out of the graph.
         let mut prev = 0usize;
         for &off in &row_offsets {
             if off < prev || off > n_row_nodes {
@@ -402,46 +167,34 @@ impl LevaGraph {
         if n_row_nodes > 0 && row_offsets.first() != Some(&0) {
             return Err(DecodeError::Invalid("first row offset must be zero"));
         }
-        // CSR offsets: validated monotone by walking the raw words; the
-        // serving view then reads them in place. `consumed()` here is
-        // 8-aligned (pad_to above) and the payload starts 8-aligned, so
-        // the absolute offset is too.
-        let offsets_off = payload_offset + r.consumed();
+        // CSR offsets: n_nodes + 1 monotone u64s bounding the edge count.
         if r.remaining() < (n_nodes + 1).saturating_mul(8) {
             return Err(DecodeError::Truncated);
         }
-        let raw_offsets = r.take_raw((n_nodes + 1) * 8)?;
-        let mut prev = 0u64;
-        for (i, word) in raw_offsets.chunks_exact(8).enumerate() {
-            let off = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
-            if i == 0 && off != 0 {
-                return Err(DecodeError::Invalid("first CSR offset must be zero"));
-            }
-            if off < prev {
-                return Err(DecodeError::Invalid("CSR offsets not monotonic"));
-            }
-            prev = off;
+        let offsets = Buf::<u64>::from_le_bytes(r.take_raw((n_nodes + 1) * 8)?, check.map());
+        if offsets.first() != Some(&0) {
+            return Err(DecodeError::Invalid("first CSR offset must be zero"));
         }
-        let n_edges = usize::try_from(prev).map_err(|_| DecodeError::LengthOverflow)?;
+        if offsets.windows(2).any(|w| w[0] > w[1]) {
+            return Err(DecodeError::Invalid("CSR offsets not monotonic"));
+        }
+        let n_edges = usize::try_from(*offsets.last().expect("offsets non-empty"))
+            .map_err(|_| DecodeError::LengthOverflow)?;
+        // Targets (4 bytes) + alignment + weights (8 bytes) must fit.
         if n_edges
             .checked_mul(12)
             .is_none_or(|need| need > r.remaining())
         {
             return Err(DecodeError::LengthOverflow);
         }
-        // Targets: eager in-range scan — a dangling node id must never be
-        // usable as an index, even before the lazy settle runs.
-        let targets_off = payload_offset + r.consumed();
-        let raw_targets = r.take_raw(n_edges * 4)?;
-        for word in raw_targets.chunks_exact(4) {
-            let v = u32::from_le_bytes(word.try_into().expect("4-byte chunk"));
-            if v as usize >= n_nodes {
-                return Err(DecodeError::Invalid("adjacency target out of range"));
-            }
+        // A dangling node id must never be usable as an index, even before
+        // a deferred check settles.
+        let targets = Buf::<u32>::from_le_bytes(r.take_raw(n_edges * 4)?, check.map());
+        if targets.iter().any(|&v| v as usize >= n_nodes) {
+            return Err(DecodeError::Invalid("adjacency target out of range"));
         }
         r.pad_to(8)?;
-        let weights_off = payload_offset + r.consumed();
-        r.take_raw(n_edges * 8)?;
+        let weights = Buf::<f64>::from_le_bytes(r.take_raw(n_edges * 8)?, check.map());
         let stats = RefineStats {
             tokens_total: r.take_usize()?,
             tokens_removed_missing: r.take_usize()?,
@@ -451,18 +204,14 @@ impl LevaGraph {
         if !r.is_exhausted() {
             return Err(DecodeError::Invalid("trailing bytes after graph"));
         }
-        let adj = GraphAdjacency::Mapped(MappedAdjacency {
-            map,
-            offsets_off,
-            targets_off,
-            weights_off,
-            n_nodes,
-            n_directed: n_edges,
-            payload_offset,
-            payload_len,
-            crc,
-            verified: Arc::new(AtomicU8::new(ADJ_UNCHECKED)),
-        });
+        if check.map().is_none() {
+            validate_symmetry(&offsets, &targets, &weights)?;
+        }
+        let adj = Csr {
+            offsets,
+            targets,
+            weights,
+        };
         Self::reconstruct(
             symbols,
             table_names,
@@ -470,6 +219,7 @@ impl LevaGraph {
             n_row_nodes,
             node_tokens,
             adj,
+            check,
             stats,
         )
     }
@@ -477,9 +227,7 @@ impl LevaGraph {
     /// Rebuilds the derived structures (`kinds`, the token→value-node map)
     /// from the primary decoded data and assembles the graph. Kinds: nodes
     /// below `n_row_nodes` are rows of the table whose offset range contains
-    /// them; the rest are value nodes. Heap adjacencies (the eager decode
-    /// paths) are symmetry-checked here; mapped ones defer that to the
-    /// lazy CRC settle.
+    /// them; the rest are value nodes.
     #[allow(clippy::too_many_arguments)]
     fn reconstruct(
         symbols: Arc<TokenInterner>,
@@ -487,17 +235,10 @@ impl LevaGraph {
         row_offsets: Vec<usize>,
         n_row_nodes: usize,
         node_tokens: Vec<TokenId>,
-        adj: GraphAdjacency,
+        adj: Csr,
+        check: LazyCheck,
         stats: RefineStats,
     ) -> Result<LevaGraph, DecodeError> {
-        if let GraphAdjacency::Heap {
-            offsets,
-            targets,
-            weights,
-        } = &adj
-        {
-            validate_symmetry(offsets, targets, weights)?;
-        }
         let n_nodes = node_tokens.len();
         let mut kinds = Vec::with_capacity(n_nodes);
         let mut table = 0usize;
@@ -529,6 +270,7 @@ impl LevaGraph {
             node_tokens,
             symbols,
             adj,
+            check,
             n_row_nodes,
             row_offsets,
             table_names,
@@ -563,20 +305,22 @@ mod tests {
         )
     }
 
-    fn round_trip(g: &LevaGraph) -> LevaGraph {
+    fn encode(g: &LevaGraph) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        g.encode_into(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        let back = LevaGraph::decode(&mut r, Arc::clone(g.symbols())).unwrap();
-        assert!(r.is_exhausted());
-        back
+        g.encode_aligned_into(&mut w);
+        w.into_bytes()
+    }
+
+    fn decode(bytes: &[u8], symbols: &Arc<TokenInterner>) -> Result<LevaGraph, DecodeError> {
+        LevaGraph::decode_aligned(bytes, Arc::clone(symbols), LazyCheck::default())
     }
 
     #[test]
     fn codec_round_trip_is_bitwise() {
         let g = graph();
-        let back = round_trip(&g);
+        let bytes = encode(&g);
+        let back = decode(&bytes, g.symbols()).unwrap();
+        assert!(!back.is_mapped());
         assert_eq!(back.n_nodes(), g.n_nodes());
         assert_eq!(back.n_row_nodes(), g.n_row_nodes());
         assert_eq!(back.table_names(), g.table_names());
@@ -596,76 +340,32 @@ mod tests {
         assert_eq!(back.value_node("nyc"), g.value_node("nyc"));
         assert_eq!(back.value_node("never-seen"), None);
         assert_eq!(back.row_node(1, 5), g.row_node(1, 5));
+        assert_eq!(encode(&back), bytes, "codec is not a fixed point");
     }
 
     #[test]
-    fn aligned_codec_round_trip_is_bitwise() {
+    fn truncation_and_flips_never_panic() {
         let g = graph();
-        let mut w = ByteWriter::new();
-        g.encode_aligned_into(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        let back = LevaGraph::decode_aligned(&mut r, Arc::clone(g.symbols())).unwrap();
-        assert!(r.is_exhausted());
-        assert_eq!(back.n_nodes(), g.n_nodes());
-        assert_eq!(back.n_row_nodes(), g.n_row_nodes());
-        assert_eq!(back.table_names(), g.table_names());
-        assert_eq!(back.stats(), g.stats());
-        for node in 0..g.n_nodes() as u32 {
-            assert_eq!(back.kind(node), g.kind(node));
-            assert_eq!(back.token(node), g.token(node));
-            let (a, b) = (g.neighbors(node), back.neighbors(node));
-            assert_eq!(a.len(), b.len());
-            for ((v1, w1), (v2, w2)) in a.iter().zip(b) {
-                assert_eq!(v1, v2);
-                assert_eq!(w1.to_bits(), w2.to_bits(), "weight bits differ");
-            }
-        }
-        assert_eq!(back.value_node("u3"), g.value_node("u3"));
-        assert_eq!(back.row_node(1, 5), g.row_node(1, 5));
-    }
-
-    #[test]
-    fn aligned_truncation_and_flips_never_panic() {
-        let g = graph();
-        let mut w = ByteWriter::new();
-        g.encode_aligned_into(&mut w);
-        let mut bytes = w.into_bytes();
+        let mut bytes = encode(&g);
         for cut in 0..bytes.len() {
-            let mut r = ByteReader::new(&bytes[..cut]);
             assert!(
-                LevaGraph::decode_aligned(&mut r, Arc::clone(g.symbols())).is_err(),
+                decode(&bytes[..cut], g.symbols()).is_err(),
                 "cut at {cut} decoded"
             );
         }
+        // Flipping bytes anywhere must never panic (errors are fine; some
+        // flips still decode — the artifact layer's CRC catches those).
         for i in (0..bytes.len()).step_by(7) {
             bytes[i] ^= 0x5a;
-            let mut r = ByteReader::new(&bytes);
-            let _ = LevaGraph::decode_aligned(&mut r, Arc::clone(g.symbols()));
+            let _ = decode(&bytes, g.symbols());
             bytes[i] ^= 0x5a;
-        }
-    }
-
-    #[test]
-    fn truncation_never_panics() {
-        let g = graph();
-        let mut w = ByteWriter::new();
-        g.encode_into(&mut w);
-        let bytes = w.into_bytes();
-        for cut in 0..bytes.len() {
-            let mut r = ByteReader::new(&bytes[..cut]);
-            assert!(
-                LevaGraph::decode(&mut r, Arc::clone(g.symbols())).is_err(),
-                "cut at {cut} decoded"
-            );
         }
     }
 
     #[test]
     fn asymmetric_adjacency_rejected() {
-        // Hand-build a 2-node "graph" with a one-directional edge; both
-        // codec layouts must reject it even though offsets are monotone
-        // and targets in range.
+        // Hand-build a 2-node "graph" with a one-directional edge: it must
+        // be rejected even though offsets are monotone and targets in range.
         assert!(validate_symmetry(&[0, 1, 1], &[1], &[0.5]).is_err());
         // Degree-symmetric but weight-skewed: 0->1 at 0.5, 1->0 at 0.25.
         assert!(validate_symmetry(&[0, 1, 2], &[1, 0], &[0.5, 0.25]).is_err());
@@ -676,32 +376,62 @@ mod tests {
         // And so does a built graph end to end.
         let g = graph();
         let adj = &g.adj;
-        assert!(validate_symmetry(adj.offsets(), adj.targets(), adj.weights()).is_ok());
+        assert!(validate_symmetry(&adj.offsets, &adj.targets, &adj.weights).is_ok());
     }
 
     #[test]
     fn dangling_references_rejected() {
+        // Decode against a *smaller* symbol table so every node token is
+        // out of range.
         let g = graph();
-        // Token id beyond the symbol table.
-        let mut w = ByteWriter::new();
-        g.encode_into(&mut w);
-        let mut bytes = w.into_bytes();
-        // Locate the first node token: after table names + offsets +
-        // n_row_nodes + node count. Easier: decode against a *smaller*
-        // symbol table so every token is out of range.
         let tiny = Arc::new(TokenInterner::new());
-        let mut r = ByteReader::new(&bytes);
         assert!(matches!(
-            LevaGraph::decode(&mut r, tiny).unwrap_err(),
+            decode(&encode(&g), &tiny).unwrap_err(),
             DecodeError::Invalid(_) | DecodeError::Truncated | DecodeError::LengthOverflow
         ));
-        // Flipping bytes anywhere must never panic (errors are fine; some
-        // flips still decode — the artifact layer's CRC catches those).
-        for i in (0..bytes.len()).step_by(7) {
-            bytes[i] ^= 0x5a;
-            let mut r = ByteReader::new(&bytes);
-            let _ = LevaGraph::decode(&mut r, Arc::clone(g.symbols()));
-            bytes[i] ^= 0x5a;
+    }
+
+    /// A `GRPH` payload inside a mapping is viewed in place; its CRC and
+    /// the symmetry audit settle on `verify`, and an asymmetric adjacency
+    /// loads (geometry is fine) but never verifies.
+    #[test]
+    fn mapped_payload_defers_crc_and_symmetry() {
+        use leva_interner::codec::crc32;
+        use leva_interner::MmapFile;
+
+        let g = graph();
+        let bytes = encode(&g);
+        let n = bytes.len();
+        let mut skewed = bytes.clone();
+        // The payload ends with 4 stats u64s preceded by the weights:
+        // skew one directed copy of the last edge weight.
+        skewed[n - 32 - 6] ^= 0x40;
+        let path = std::env::temp_dir().join(format!("leva_grph_{}.bin", std::process::id()));
+        std::fs::write(&path, [bytes.as_slice(), skewed.as_slice()].concat()).unwrap();
+        let map = Arc::new(MmapFile::open(&path).unwrap());
+        let decode_at = |offset: usize, payload: &[u8]| {
+            let check = LazyCheck::crc(&map, offset, n, crc32(payload));
+            LevaGraph::decode_aligned(&map[offset..offset + n], Arc::clone(g.symbols()), check)
+                .unwrap()
+        };
+
+        let good = decode_at(0, &bytes);
+        if cfg!(all(unix, target_endian = "little")) {
+            assert!(good.is_mapped());
+            assert_eq!(good.estimated_adjacency_bytes(), 0);
         }
+        assert!(good.verify());
+        assert_eq!(encode(&good), bytes);
+
+        assert!(n.is_multiple_of(8), "second copy must stay aligned");
+        let asymmetric = decode_at(n, &skewed);
+        assert!(!asymmetric.verify(), "CRC matches, symmetry must not");
+        // The byte decode runs the same audit eagerly.
+        assert_eq!(
+            decode(&skewed, g.symbols()).unwrap_err(),
+            DecodeError::Invalid("adjacency is not symmetric")
+        );
+        drop((good, asymmetric, map));
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -14,9 +14,11 @@
 //! sequential merge pass in database order), which makes ID assignment
 //! deterministic and independent of worker-thread count.
 
+pub mod buf;
 pub mod codec;
 pub mod mmapfile;
 
+pub use buf::{Buf, LazyCheck};
 pub use mmapfile::MmapFile;
 
 use codec::{ByteReader, ByteWriter, DecodeError};

@@ -128,6 +128,13 @@ impl MmapFile {
         }
     }
 
+    /// Byte offset of `sub` within this file's bytes, or `None` when the
+    /// slice does not lie entirely inside them.
+    pub fn offset_of(&self, sub: &[u8]) -> Option<usize> {
+        let offset = (sub.as_ptr() as usize).checked_sub(self.as_ptr() as usize)?;
+        (offset.checked_add(sub.len())? <= self.len()).then_some(offset)
+    }
+
     /// Length in bytes.
     pub fn len(&self) -> usize {
         self.as_slice().len()
@@ -201,6 +208,18 @@ mod tests {
         let map = MmapFile::open(&path).unwrap();
         assert!(map.is_empty());
         assert!(!map.is_mapped());
+        drop(map);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn offset_of_locates_sub_slices_only() {
+        let path = temp_path("offset");
+        std::fs::write(&path, b"0123456789").unwrap();
+        let map = MmapFile::open(&path).unwrap();
+        assert_eq!(map.offset_of(&map[3..7]), Some(3));
+        assert_eq!(map.offset_of(&map[10..]), Some(10));
+        assert_eq!(map.offset_of(b"0123"), None);
         drop(map);
         std::fs::remove_file(&path).unwrap();
     }

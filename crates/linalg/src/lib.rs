@@ -31,6 +31,5 @@ pub use qr::thin_q;
 pub use rsvd::{randomized_svd, RsvdOptions, Svd};
 pub use sparse::CsrMatrix;
 pub use vecops::{
-    axpy, axpy_f32, axpy_i8, cosine_similarity, dequantize_i8, dot, dot_f32, dot_i8, l1_distance,
-    l2_distance, mean_vector, norm2, normalize, quantize_i8,
+    axpy, cosine_similarity, dot, l1_distance, l2_distance, mean_vector, norm2, normalize,
 };

@@ -75,92 +75,6 @@ pub fn mean_vector<'a, I: IntoIterator<Item = &'a [f64]>>(vecs: I) -> Option<Vec
     Some(acc)
 }
 
-// ---------------------------------------------------------------------------
-// Reduced-precision kernels (DESIGN.md §6.14 precision ladder).
-//
-// These back the quantized embedding stores: f32 halves memory, symmetric
-// int8 with a per-row scale quarters it again. Each kernel accumulates over
-// four independent lanes so the compiler can keep the reduction in SIMD
-// registers (a single serial accumulator chains the adds and defeats
-// autovectorization). Accumulation is always f64/i32 — the precision ladder
-// trades *storage*, not arithmetic, so error bounds stay per-element.
-// ---------------------------------------------------------------------------
-
-macro_rules! four_lane_reduce {
-    ($a:expr, $b:expr, $map:expr, $acc:ty) => {{
-        debug_assert_eq!($a.len(), $b.len());
-        let mut lanes: [$acc; 4] = [Default::default(); 4];
-        let (ac, ar) = $a.split_at($a.len() - $a.len() % 4);
-        let (bc, br) = $b.split_at(ac.len());
-        for (xs, ys) in ac.chunks_exact(4).zip(bc.chunks_exact(4)) {
-            for k in 0..4 {
-                lanes[k] += $map(xs[k], ys[k]);
-            }
-        }
-        let mut acc = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-        for (&x, &y) in ar.iter().zip(br) {
-            acc += $map(x, y);
-        }
-        acc
-    }};
-}
-
-/// Dot product of two `f32` rows, accumulated in `f64`.
-pub fn dot_f32(a: &[f32], b: &[f32]) -> f64 {
-    four_lane_reduce!(a, b, |x: f32, y: f32| f64::from(x) * f64::from(y), f64)
-}
-
-/// `y += alpha * x` where `x` is an `f32` row and `y` stays `f64`.
-pub fn axpy_f32(alpha: f64, x: &[f32], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, &xi) in y.iter_mut().zip(x) {
-        *yi += alpha * f64::from(xi);
-    }
-}
-
-/// Dot product of two symmetric-int8 rows with per-row scales:
-/// `scale_a * scale_b * Σ aᵢ·bᵢ`. The integer reduction is exact (i32
-/// accumulation; 255 · 127² per lane never overflows for dims < 2²³).
-pub fn dot_i8(a: &[i8], scale_a: f64, b: &[i8], scale_b: f64) -> f64 {
-    let raw: i32 = four_lane_reduce!(a, b, |x: i8, y: i8| i32::from(x) * i32::from(y), i32);
-    scale_a * scale_b * f64::from(raw)
-}
-
-/// `y += alpha * scale * x` where `x` is a symmetric-int8 row.
-pub fn axpy_i8(alpha: f64, scale: f64, x: &[i8], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    let a = alpha * scale;
-    for (yi, &xi) in y.iter_mut().zip(x) {
-        *yi += a * f64::from(xi);
-    }
-}
-
-/// Dequantizes a symmetric-int8 row into `out` (`out[i] = scale * x[i]`).
-pub fn dequantize_i8(scale: f64, x: &[i8], out: &mut [f64]) {
-    debug_assert_eq!(x.len(), out.len());
-    for (o, &xi) in out.iter_mut().zip(x) {
-        *o = scale * f64::from(xi);
-    }
-}
-
-/// Symmetric per-row int8 quantization: returns `(scale, codes)` such that
-/// `scale * codes[i] ≈ x[i]`, with `scale = max|x| / 127` (zero rows get
-/// scale 0 and all-zero codes). Round-to-nearest keeps the per-element
-/// error within `scale / 2`.
-pub fn quantize_i8(x: &[f64]) -> (f64, Vec<i8>) {
-    let max_abs = x.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
-    if max_abs == 0.0 || !max_abs.is_finite() {
-        return (0.0, vec![0; x.len()]);
-    }
-    let scale = max_abs / 127.0;
-    let inv = 127.0 / max_abs;
-    let codes = x
-        .iter()
-        .map(|&v| (v * inv).round().clamp(-127.0, 127.0) as i8)
-        .collect();
-    (scale, codes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,63 +122,5 @@ mod tests {
         let m = mean_vector([a.as_slice(), b.as_slice()]).unwrap();
         assert_eq!(m, vec![2.0, 3.0]);
         assert!(mean_vector(std::iter::empty::<&[f64]>()).is_none());
-    }
-
-    #[test]
-    fn f32_kernels_match_f64_reference() {
-        // Odd length exercises the remainder loop after the 4-lane body.
-        let a: Vec<f64> = (0..13).map(|i| 0.1 * i as f64 - 0.5).collect();
-        let b: Vec<f64> = (0..13).map(|i| 0.07 * i as f64 + 0.2).collect();
-        let af: Vec<f32> = a.iter().map(|&v| v as f32).collect();
-        let bf: Vec<f32> = b.iter().map(|&v| v as f32).collect();
-        assert!((dot_f32(&af, &bf) - dot(&a, &b)).abs() < 1e-5);
-        let mut y = vec![1.0; 13];
-        let mut y_ref = vec![1.0; 13];
-        axpy_f32(2.0, &af, &mut y);
-        axpy(2.0, &a, &mut y_ref);
-        for (x, r) in y.iter().zip(&y_ref) {
-            assert!((x - r).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn i8_quantization_round_trips_within_half_scale() {
-        let x: Vec<f64> = (0..17).map(|i| (i as f64 - 8.0) * 0.31).collect();
-        let (scale, codes) = quantize_i8(&x);
-        let mut back = vec![0.0; x.len()];
-        dequantize_i8(scale, &codes, &mut back);
-        for (orig, deq) in x.iter().zip(&back) {
-            assert!((orig - deq).abs() <= scale * 0.5 + 1e-12, "{orig} vs {deq}");
-        }
-        // Extremes hit ±127 exactly.
-        assert!(codes.contains(&-127) || codes.contains(&127));
-    }
-
-    #[test]
-    fn i8_dot_matches_dequantized_reference() {
-        let a: Vec<f64> = (0..16).map(|i| (i as f64).sin()).collect();
-        let b: Vec<f64> = (0..16).map(|i| (i as f64).cos()).collect();
-        let (sa, ca) = quantize_i8(&a);
-        let (sb, cb) = quantize_i8(&b);
-        let mut da = vec![0.0; 16];
-        let mut db = vec![0.0; 16];
-        dequantize_i8(sa, &ca, &mut da);
-        dequantize_i8(sb, &cb, &mut db);
-        assert!((dot_i8(&ca, sa, &cb, sb) - dot(&da, &db)).abs() < 1e-12);
-        let mut y = vec![0.0; 16];
-        axpy_i8(1.5, sa, &ca, &mut y);
-        for (v, d) in y.iter().zip(&da) {
-            assert!((v - 1.5 * d).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn zero_and_nonfinite_rows_quantize_to_zero_scale() {
-        let (s, c) = quantize_i8(&[0.0, 0.0]);
-        assert_eq!(s, 0.0);
-        assert_eq!(c, vec![0, 0]);
-        let (s, c) = quantize_i8(&[f64::INFINITY, 1.0]);
-        assert_eq!(s, 0.0);
-        assert_eq!(c.len(), 2);
     }
 }

@@ -6,29 +6,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace (every unit, integration, property and serving test)"
+cargo test -q --workspace
 
-echo "==> cargo test -q --test fault_injection (panic-free ingestion gate)"
-cargo test -q --test fault_injection
-
-echo "==> cargo test -q --test artifact_roundtrip (model artifact gate)"
-cargo test -q --test artifact_roundtrip
-
-echo "==> cargo test -q --test determinism (threading + featurizer equivalence gate)"
-cargo test -q --test determinism
-
-echo "==> cargo test -q --test mmap_artifacts (zero-copy artifact gate)"
-cargo test -q --test mmap_artifacts
-
-echo "==> cargo test -q --test quantization (precision-ladder tolerance gate)"
-cargo test -q --test quantization
-
-echo "==> cargo test -q --test incremental (delta-ingestion + retrofit gate)"
-cargo test -q --test incremental
-
-echo "==> cargo test -q -p leva-serve (server smoke + hot-swap stress gate)"
-cargo test -q -p leva-serve
+echo "==> perfbench tests (the benchmark builds against these crates by path)"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> exp_serve (serving benchmark -> results/BENCH_6.json)"
 cargo build --release -q -p leva-bench --bin exp_serve

@@ -115,7 +115,7 @@ fn random_models_round_trip_bitwise() {
     }
 }
 
-/// Discovery-enabled models (v2 artifacts carrying a `DISC` chunk) are a
+/// Discovery-enabled models (artifacts with a non-empty `DISC` chunk) are a
 /// serialization fixed point too: the discovered relationships and the
 /// injection counters restore exactly, featurization is bitwise identical,
 /// and re-serializing reproduces the bytes.
@@ -302,4 +302,42 @@ fn mismatched_store_dim_is_rejected_at_load() {
         matches!(err, ArtifactError::Inconsistent { .. }),
         "expected Inconsistent, got {err}"
     );
+}
+
+/// The golden-fingerprint database of `tests/determinism.rs`.
+fn golden_db() -> Database {
+    let mut db = Database::new();
+    let mut base = Table::new("base", vec!["id", "grp", "target"]);
+    let mut aux = Table::new("aux", vec!["id", "feature"]);
+    for i in 0..30 {
+        base.push_row(vec![
+            format!("e{i}").into(),
+            ["a", "b"][i % 2].into(),
+            Value::Int((i % 2) as i64),
+        ])
+        .unwrap();
+        aux.push_row(vec![format!("e{i}").into(), format!("f{}", i % 3).into()])
+            .unwrap();
+    }
+    db.add_table(base).unwrap();
+    db.add_table(aux).unwrap();
+    db
+}
+
+/// Pins the v3 byte layout: the CRC-32 of the golden-fingerprint fit's
+/// artifact, with the wall-clock stage timings (the only nondeterministic
+/// field) cleared. Any change to chunk framing, chunk order or a payload
+/// encoding changes this value.
+#[test]
+fn v3_artifact_bytes_are_pinned() {
+    const PINNED_CRC: u32 = 0x83a9_e8d4;
+    let mut model = Leva::with_config(LevaConfig::fast())
+        .base_table("base")
+        .target("target")
+        .threads(1)
+        .fit(&golden_db())
+        .unwrap();
+    model.timings = leva::StageTimings::default();
+    let bytes = model.to_bytes();
+    assert_eq!(leva_interner::codec::crc32(&bytes), PINNED_CRC);
 }
